@@ -216,99 +216,13 @@ impl MemorySystem {
     }
 }
 
-/// A bounded structural resource: a multiset of busy-until times.
-///
-/// `acquire(t)` finds a slot free at or before `t`, or returns the earliest
-/// time one frees. The caller then sets the slot's release time.
-#[derive(Clone, Debug)]
-struct Slots {
-    free_at: Vec<u64>,
-}
-
-impl Slots {
-    fn new(n: usize) -> Self {
-        Slots {
-            free_at: vec![0; n],
-        }
-    }
-
-    /// Earliest cycle at/after `t` a slot is available.
-    fn available_at(&self, t: u64) -> u64 {
-        let min = self.free_at.iter().copied().min().unwrap_or(0);
-        t.max(min)
-    }
-
-    /// Occupies a slot until `until`. The earliest-free slot is reserved;
-    /// callers should gate on [`Slots::available_at`] first so the chosen
-    /// slot is genuinely free at the acquisition time.
-    fn occupy(&mut self, _t: u64, until: u64) {
-        let idx = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &v)| v)
-            .map(|(i, _)| i)
-            .expect("Slots is never empty");
-        self.free_at[idx] = self.free_at[idx].max(until);
-    }
-
-    fn clear(&mut self) {
-        self.free_at.iter_mut().for_each(|v| *v = 0);
-    }
-}
-
-/// A bounded structural resource in whichever representation the
-/// engine's [`EngineKind`] selects: the original linear-scanned
-/// [`Slots`] (legacy) or the event-driven [`WakeHeap`]. The two are
-/// observably identical — only the multiset of slot free-times can be
-/// seen through `available_at`/`occupy` — which the differential suite
-/// pins byte-for-byte.
-#[derive(Clone, Debug)]
-enum Pool {
-    Scan(Slots),
-    Heap(WakeHeap),
-}
-
-impl Pool {
-    fn new(n: usize, kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Legacy => Pool::Scan(Slots::new(n)),
-            EngineKind::EventDriven | EngineKind::Sharded => Pool::Heap(WakeHeap::new(n)),
-        }
-    }
-
-    /// Earliest cycle at/after `t` a slot is available.
-    fn available_at(&self, t: u64) -> u64 {
-        match self {
-            Pool::Scan(s) => s.available_at(t),
-            Pool::Heap(h) => h.available_at(t),
-        }
-    }
-
-    /// Occupies the earliest-free slot until `until`.
-    fn occupy(&mut self, t: u64, until: u64) {
-        match self {
-            Pool::Scan(s) => s.occupy(t, until),
-            Pool::Heap(h) => h.occupy(t, until),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Pool::Scan(s) => s.clear(),
-            Pool::Heap(h) => h.clear(),
-        }
-    }
-}
-
-/// [`Slots`] specialised for resources released **at commit** (ROB
+/// A slot pool specialised for resources released **at commit** (ROB
 /// entries, the global register free list, LRF entries).
 ///
 /// Commit times are monotonically nondecreasing in program order
 /// (`commit = commit_ready.max(prev_commit)`), so the release times form
 /// a sorted circular buffer: the earliest-free slot is always the oldest
-/// occupied one. That turns both the `available_at` min-scan and the
-/// `occupy` argmin-scan — O(entries) per instruction in [`Slots`] — into
+/// occupied one. That turns the [`WakeHeap`] root lookup and sift into
 /// O(1) ring operations with the identical observable multiset.
 #[derive(Clone, Debug)]
 struct FifoSlots {
@@ -482,12 +396,12 @@ struct SliceState {
     mshr: MshrFile,
     alu: FuCalendar,
     lsu: FuCalendar,
-    alu_window: Pool,
-    ls_window: Pool,
+    alu_window: WakeHeap,
+    ls_window: WakeHeap,
     rob: FifoSlots,
     lrf: FifoSlots,
-    lsq_bank: Pool,
-    store_buffer: Pool,
+    lsq_bank: WakeHeap,
+    store_buffer: WakeHeap,
     /// For the ordered-LSQ baseline: latest address-resolve time of any
     /// older store sorted to this bank.
     store_barrier: u64,
@@ -550,7 +464,6 @@ pub struct InstTiming {
 #[derive(Debug)]
 pub struct VCoreEngine {
     cfg: SimConfig,
-    kind: EngineKind,
     vcore_id: usize,
     slices: Vec<SliceState>,
     coords: Vec<Coord>,
@@ -616,18 +529,9 @@ impl VerifyState {
 }
 
 impl VCoreEngine {
-    /// Creates an engine for `vcore_id` with the given configuration,
-    /// using the default (event-driven) scheduling.
+    /// Creates the engine for `vcore_id` with the given configuration.
     #[must_use]
     pub fn new(cfg: SimConfig, vcore_id: usize) -> Self {
-        Self::new_with_kind(cfg, vcore_id, EngineKind::default())
-    }
-
-    /// Creates an engine with an explicit [`EngineKind`]. Legacy and
-    /// event-driven engines produce byte-identical results; legacy
-    /// exists as the oracle for the differential suite.
-    #[must_use]
-    pub fn new_with_kind(cfg: SimConfig, vcore_id: usize, kind: EngineKind) -> Self {
         let n = cfg.slices();
         // Capacities are nominal; the modeled hierarchy is co-scaled down
         // with the workloads (see `sharing_isa::CAPACITY_SCALE`) so the
@@ -650,12 +554,12 @@ impl VCoreEngine {
                 mshr: MshrFile::new(cfg.slice.max_inflight_loads),
                 alu: FuCalendar::default(),
                 lsu: FuCalendar::default(),
-                alu_window: Pool::new(cfg.slice.issue_window, kind),
-                ls_window: Pool::new(cfg.slice.ls_window, kind),
+                alu_window: WakeHeap::new(cfg.slice.issue_window),
+                ls_window: WakeHeap::new(cfg.slice.ls_window),
                 rob: FifoSlots::new(cfg.slice.rob_entries),
                 lrf: FifoSlots::new(cfg.slice.local_regs),
-                lsq_bank: Pool::new(cfg.slice.lsq_entries, kind),
-                store_buffer: Pool::new(cfg.slice.store_buffer, kind),
+                lsq_bank: WakeHeap::new(cfg.slice.lsq_entries),
+                store_buffer: WakeHeap::new(cfg.slice.store_buffer),
                 store_barrier: 0,
                 local_copy: [(u64::MAX, 0); NUM_ARCH_REGS],
             })
@@ -665,17 +569,11 @@ impl VCoreEngine {
         // while the namespace is sized for the largest configuration.
         let freelist = FifoSlots::new((cfg.slice.global_regs - NUM_ARCH_REGS) * n);
         VCoreEngine {
-            operand_net: match kind {
-                EngineKind::EventDriven | EngineKind::Sharded => {
-                    QueuedNetwork::new(mesh, cfg.knobs.operand_latency, cfg.knobs.operand_planes)
-                }
-                EngineKind::Legacy => QueuedNetwork::new_polled(
-                    mesh,
-                    cfg.knobs.operand_latency,
-                    cfg.knobs.operand_planes,
-                ),
-            },
-            kind,
+            operand_net: QueuedNetwork::new(
+                mesh,
+                cfg.knobs.operand_latency,
+                cfg.knobs.operand_planes,
+            ),
             cfg,
             vcore_id,
             slices,
@@ -696,6 +594,15 @@ impl VCoreEngine {
             ghr: 0,
             ghr_in_flight: VecDeque::new(),
         }
+    }
+
+    /// [`VCoreEngine::new`] under its former name. Kept, hidden, only
+    /// because the benchmark package (`perfbench/`, outside the
+    /// workspace) still calls it; nothing in the workspace does.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn new_with_kind(cfg: SimConfig, vcore_id: usize, _kind: EngineKind) -> Self {
+        Self::new(cfg, vcore_id)
     }
 
     /// Enables per-instruction timing recording (tests/debugging).
@@ -758,12 +665,6 @@ impl VCoreEngine {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Which scheduling implementation this engine uses.
-    #[must_use]
-    pub fn engine_kind(&self) -> EngineKind {
-        self.kind
     }
 
     /// Cycles elapsed so far (the last commit).
@@ -1511,18 +1412,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_capacity_and_availability() {
-        let mut s = Slots::new(2);
-        assert_eq!(s.available_at(5), 5);
-        s.occupy(5, 50);
-        s.occupy(5, 60);
-        // Both busy: next availability is the earliest release.
-        assert_eq!(s.available_at(5), 50);
-        s.occupy(50, 70); // replaces the slot that freed at 50
-        assert_eq!(s.available_at(0), 60);
-    }
-
-    #[test]
     fn fu_calendar_matches_btreeset_reference() {
         // The bitmap calendar must be observably identical to the exact
         // set-of-busy-cycles model it replaced, prune rule included.
@@ -1576,12 +1465,12 @@ mod tests {
     }
 
     #[test]
-    fn fifo_slots_match_slots_for_monotonic_releases() {
+    fn fifo_slots_match_wake_heap_for_monotonic_releases() {
         // FifoSlots is only used for commit-released resources, where the
         // release times are nondecreasing; under that contract it must be
-        // observably identical to the min-scan Slots.
+        // observably identical to the general min-heap pool.
         let mut ring = FifoSlots::new(7);
-        let mut reference = Slots::new(7);
+        let mut reference = WakeHeap::new(7);
         let mut x = 0xA5_u64;
         let mut commit = 0u64;
         for _ in 0..10_000 {

@@ -1,76 +1,37 @@
 //! Event-driven scheduling primitives for the timing engine.
 //!
 //! SSim is trace-driven: the engine never literally ticks a global
-//! clock, but its bounded structural resources used to be *polled* —
-//! every instruction linearly scanned each pool of busy-until times
-//! ([`crate::engine`]'s `Slots`) and the queued operand network walked
-//! link calendars one cycle at a time. This module replaces that with
-//! discrete-event bookkeeping: each resource keeps its wake-ups (the
-//! `next_tick` at which a slot frees) in a min-heap, so dead cycles are
-//! skipped and a claim costs `O(log n)` instead of `O(n)` — the
+//! clock, but its bounded structural resources are contended. Each such
+//! pool keeps its wake-ups (the `next_tick` at which a slot frees) in a
+//! min-heap, so dead cycles are skipped and a claim costs `O(log n)`
+//! instead of a linear scan over busy-until times — the
 //! Component/`next_tick` model described in DESIGN.md §13.
 //!
-//! The hard bar is byte-identity: [`WakeHeap`] must be *observably
-//! identical* to the scan it replaces. That holds because a pool's
-//! slots are interchangeable — only the multiset of free-times is
-//! observable. `available_at` returns the multiset minimum either way,
-//! and `occupy` replaces one minimum instance with
-//! `max(minimum, until)`; which physical slot holds the value cannot be
-//! seen. The differential suite (`tests/event_equiv.rs` and the PR 5
-//! style unit pins) enforces this bit-for-bit across every benchmark.
+//! A pool's slots are interchangeable, so only the multiset of
+//! free-times is observable: `available_at` returns the multiset
+//! minimum and `occupy` replaces one minimum instance with
+//! `max(minimum, until)`. The unit tests below pin [`WakeHeap`] against
+//! a linear-scan model and a counting-multiset model of exactly that.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Which engine implementation a run uses. All kinds produce
-/// byte-identical [`crate::SimResult`]s; they differ only in how
-/// resource wake-ups are found and how many host threads advance a VM.
+/// The timing-engine implementation. There is one: the event-driven
+/// engine. The type survives only because the benchmark package
+/// (`perfbench/`, outside the workspace) still names it; nothing in
+/// the workspace uses it.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Discrete-event scheduling: min-heap wake-ups for structural
-    /// pools, bitmap calendars for FUs and network links. The default.
+    /// pools, bitmap calendars for FUs and network links.
     #[default]
     EventDriven,
-    /// The original polled implementation: linear scans over busy-until
-    /// times and per-cycle `BTreeSet` walks on network links. Kept as
-    /// the oracle for differential tests.
-    Legacy,
-    /// Event-driven internals plus intra-run worker threads inside a
-    /// [`crate::VmSimulator`]: each VCore engine advances its chunk on a
-    /// forked memory system between deterministic barriers, and the
-    /// access streams are merged in VCore order (DESIGN.md §14). For a
-    /// single-trace [`crate::Simulator`] run there is only one engine,
-    /// so this is exactly `EventDriven`. Byte-identical to both other
-    /// kinds for any worker count.
-    Sharded,
-}
-
-impl EngineKind {
-    /// Short name for logs and CLI flags.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::EventDriven => "event",
-            EngineKind::Legacy => "legacy",
-            EngineKind::Sharded => "sharded",
-        }
-    }
-
-    /// Parses a CLI spelling.
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "event" | "event-driven" | "event_driven" => Some(EngineKind::EventDriven),
-            "legacy" | "polled" => Some(EngineKind::Legacy),
-            "sharded" | "threads" => Some(EngineKind::Sharded),
-            _ => None,
-        }
-    }
 }
 
 /// A bounded structural resource as a min-heap of slot wake-up times.
 ///
-/// The event-driven twin of the engine's `Slots`: a pool of `n`
-/// interchangeable slots, each free again at its recorded time.
+/// A pool of `n` interchangeable slots, each free again at its
+/// recorded time.
 /// `available_at` peeks the earliest wake-up; `occupy` reschedules that
 /// earliest slot to `max(its time, until)` and sifts it down. Starting
 /// state (all zeros) is a valid heap, so `clear` is a fill.
@@ -99,8 +60,8 @@ impl WakeHeap {
     }
 
     /// Occupies the earliest-free slot until `until`: replaces the root
-    /// with `max(root, until)` and restores the heap. Mirrors the
-    /// scanned pool's argmin-replace exactly (same multiset evolution).
+    /// with `max(root, until)` and restores the heap: the argmin-replace
+    /// of a scanned pool, with the same multiset evolution.
     pub fn occupy(&mut self, _t: u64, until: u64) {
         self.heap[0] = self.heap[0].max(until);
         self.sift_down();
@@ -172,19 +133,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_kind_names_round_trip() {
-        for k in [
-            EngineKind::EventDriven,
-            EngineKind::Legacy,
-            EngineKind::Sharded,
-        ] {
-            assert_eq!(EngineKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(EngineKind::from_name("polled"), Some(EngineKind::Legacy));
-        assert_eq!(EngineKind::from_name("quantum"), None);
-    }
-
-    #[test]
     fn wake_heap_tracks_min_and_capacity() {
         let mut h = WakeHeap::new(2);
         assert_eq!(h.available_at(5), 5);
@@ -196,9 +144,9 @@ mod tests {
         assert_eq!(h.available_at(0), 60);
     }
 
-    /// The PR 5-style pin: the heap must evolve the identical observable
-    /// multiset as the linear-scanned pool it replaces, under adversarial
-    /// interleavings including `until` below the current minimum.
+    /// The heap must evolve the identical observable multiset as a
+    /// linear-scanned pool, under adversarial interleavings including
+    /// `until` below the current minimum.
     #[test]
     fn wake_heap_matches_scanned_slots_reference() {
         struct ScanRef {

@@ -106,7 +106,7 @@ where
 }
 
 /// A persistent pool of `workers` scoped threads advancing
-/// bulk-synchronous rounds (the sharded engine's barrier protocol,
+/// bulk-synchronous rounds (the VM worker threads' barrier protocol,
 /// DESIGN.md §14).
 ///
 /// Each iteration: `coordinate()` runs on the **calling thread** with

@@ -1,32 +1,27 @@
 //! Timed cold and warm full-suite sweeps, for the perf trajectory.
 //!
 //! `scripts/bench_sweep.sh` wraps this and writes `BENCH_sweep.json`.
-//! Seven phases, the first six over the full 15-benchmark × 72-shape
+//! Five phases, the first four over the full 15-benchmark × 72-shape
 //! grid:
 //!
-//! 1. **regen baseline** — sequential, a fresh trace cache per point, so
-//!    every point regenerates its trace (the pre-trace-cache behaviour);
-//! 2. **cold sequential** — one shared fresh trace cache, one worker;
-//! 3. **cold parallel** — one shared fresh trace cache, `--jobs` workers;
-//! 4. **warm parallel** — the same cache again, so every trace lookup
+//! 1. **cold sequential** — one shared fresh trace cache, one worker;
+//! 2. **cold parallel** — one shared fresh trace cache, `--jobs` workers;
+//! 3. **warm parallel** — the same cache again, so every trace lookup
 //!    hits;
-//! 5. **legacy engine** — the warm cache again, polled (legacy) engine,
-//!    one worker — the engine A/B baseline;
-//! 6. **event engine** — same warm cache, event-driven engine, one
-//!    worker. Phases 5 and 6 must serialize byte-identically (the
-//!    engines' contract), and their ratio is the `event_driven`
-//!    speedup reported in the JSON;
-//! 7. **sharded VM** — the PARSEC benchmarks as 4-thread VMs, run
-//!    single-worker and then with the sharded engine's `--jobs` worker
-//!    shards (DESIGN.md §14). Both must serialize byte-identically —
-//!    the worker count is unobservable — and their wall-clock ratio is
-//!    the `sharded` intra-run speedup reported in the JSON (expect >1
-//!    only on multi-core machines).
+//! 4. **warm sequential** — the warm cache again, one worker: pure
+//!    engine throughput, reported as the `warm_sequential`
+//!    `cycles_per_sec` the CI perf floor reads;
+//! 5. **VM threads** — the PARSEC benchmarks as 4-thread VMs, run
+//!    single-worker and then with `--jobs` worker threads (DESIGN.md
+//!    §14). Both must serialize byte-identically — the worker count is
+//!    unobservable — and their wall-clock ratio is the intra-run
+//!    speedup reported in the JSON (expect >1 only on multi-core
+//!    machines).
 //!
-//! The sequential and parallel builds must serialize byte-identically
-//! (asserted here), which is the determinism contract of DESIGN.md §9.
+//! Every build must serialize byte-identically to the others (asserted
+//! here), which is the determinism contract of DESIGN.md §9.
 
-use sharing_core::{EngineKind, SimConfig, VCoreShape, VmSimulator};
+use sharing_core::{SimConfig, VmSimulator};
 use sharing_json::{Json, ToJson};
 use sharing_market::{ExperimentSpec, SuiteSurfaces};
 use sharing_trace::{TraceCache, TraceSpec, ALL_BENCHMARKS, PARSEC_BENCHMARKS};
@@ -55,16 +50,6 @@ fn main() {
         ALL_BENCHMARKS.len(),
         spec.trace_len
     );
-
-    let t = Instant::now();
-    for &b in &ALL_BENCHMARKS {
-        for shape in VCoreShape::sweep_grid() {
-            let fresh = TraceCache::new();
-            let _ = SuiteSurfaces::measure_with(b, shape, &spec, &fresh);
-        }
-    }
-    let regen_seq_secs = t.elapsed().as_secs_f64();
-    eprintln!("[regen baseline:  {regen_seq_secs:.2}s]");
 
     let seq_cache = TraceCache::new();
     let t = Instant::now();
@@ -98,45 +83,23 @@ fn main() {
         "warm rebuild must reproduce the cold build"
     );
 
-    // Engine A/B on the warm cache: identical work, identical traces,
-    // only the engine differs — so the wall-clock ratio is the
-    // event-driven speedup, and the surfaces must match byte-for-byte.
+    // Single-worker sweep on the warm cache: every trace lookup hits,
+    // so the wall clock is the engine's alone.
     let t = Instant::now();
-    let legacy = SuiteSurfaces::build_subset_with_engine(
-        spec,
-        &ALL_BENCHMARKS,
-        &par_cache,
-        1,
-        EngineKind::Legacy,
-    );
-    let legacy_secs = t.elapsed().as_secs_f64();
-    eprintln!("[legacy engine:   {legacy_secs:.2}s]");
-
-    let t = Instant::now();
-    let event = SuiteSurfaces::build_subset_with_engine(
-        spec,
-        &ALL_BENCHMARKS,
-        &par_cache,
-        1,
-        EngineKind::EventDriven,
-    );
-    let event_secs = t.elapsed().as_secs_f64();
-    eprintln!("[event engine:    {event_secs:.2}s]");
-    assert_eq!(
-        sharing_json::to_string(&legacy),
-        sharing_json::to_string(&event),
-        "event-driven engine must serialize byte-identically to the legacy engine"
-    );
+    let warm_seq = SuiteSurfaces::build_subset_with(spec, &ALL_BENCHMARKS, &par_cache, 1);
+    let warm_seq_secs = t.elapsed().as_secs_f64();
+    eprintln!("[warm sequential: {warm_seq_secs:.2}s]");
     assert_eq!(
         sharing_json::to_string(&par),
-        sharing_json::to_string(&event),
-        "default-engine sweep must match the explicit event-driven sweep"
+        sharing_json::to_string(&warm_seq),
+        "single-worker warm sweep must match the parallel sweep"
     );
 
-    // Sharded VM A/B: the PARSEC set as 4-thread VMs over a shared L2,
-    // single worker vs `jobs` worker shards. Identical bytes (asserted —
-    // the barrier protocol makes the worker count unobservable), so the
-    // wall-clock ratio is the intra-run parallel speedup.
+    // VM worker-thread A/B: the PARSEC set as 4-thread VMs over a
+    // shared L2, single worker vs `jobs` workers. Identical bytes
+    // (asserted — the barrier protocol makes the worker count
+    // unobservable), so the wall-clock ratio is the intra-run parallel
+    // speedup.
     const VM_REPS: usize = 8;
     let vm_cfg = SimConfig::with_shape(2, 4).expect("valid VM shape");
     let vm_spec = TraceSpec::new(spec.trace_len, 2014);
@@ -147,7 +110,6 @@ fn main() {
     let run_vms = |workers: usize| {
         let vm = VmSimulator::new(vm_cfg)
             .expect("valid VM config")
-            .with_engine(EngineKind::Sharded)
             .with_threads(workers);
         let t = Instant::now();
         let mut results = Vec::new();
@@ -157,12 +119,12 @@ fn main() {
         (sharing_json::to_string(&results), t.elapsed().as_secs_f64())
     };
     let (vm_single_bytes, vm_single_secs) = run_vms(1);
-    eprintln!("[sharded 1 worker:  {vm_single_secs:.2}s]");
+    eprintln!("[VM 1 worker:     {vm_single_secs:.2}s]");
     let (vm_sharded_bytes, vm_sharded_secs) = run_vms(jobs);
-    eprintln!("[sharded {jobs} workers: {vm_sharded_secs:.2}s]");
+    eprintln!("[VM {jobs} workers:    {vm_sharded_secs:.2}s]");
     assert_eq!(
         vm_single_bytes, vm_sharded_bytes,
-        "sharded VM results must not depend on the worker count"
+        "VM results must not depend on the worker count"
     );
     let vm_cycles: f64 = {
         let parsed = Json::parse(&vm_single_bytes).expect("own serialization parses");
@@ -188,14 +150,9 @@ fn main() {
         ("points", Json::Int(points as i128)),
         ("trace_len", Json::Int(spec.trace_len as i128)),
         ("jobs", Json::Int(jobs as i128)),
-        ("regen_sequential_secs", Json::Float(regen_seq_secs)),
         ("cold_sequential_secs", Json::Float(cold_seq_secs)),
         ("cold_parallel_secs", Json::Float(cold_par_secs)),
         ("cold_speedup", Json::Float(cold_seq_secs / cold_par_secs)),
-        (
-            "improvement_vs_regen_baseline",
-            Json::Float(regen_seq_secs / cold_par_secs),
-        ),
         ("warm_parallel_secs", Json::Float(warm_par_secs)),
         ("simulated_cycles", Json::Float(est_cycles)),
         (
@@ -207,16 +164,10 @@ fn main() {
             Json::Float(est_cycles / cold_seq_secs),
         ),
         (
-            "event_driven",
+            "warm_sequential",
             Json::obj(vec![
-                ("sequential_secs", Json::Float(event_secs)),
-                ("cycles_per_sec", Json::Float(est_cycles / event_secs)),
-                ("legacy_sequential_secs", Json::Float(legacy_secs)),
-                (
-                    "legacy_cycles_per_sec",
-                    Json::Float(est_cycles / legacy_secs),
-                ),
-                ("speedup_vs_legacy", Json::Float(legacy_secs / event_secs)),
+                ("secs", Json::Float(warm_seq_secs)),
+                ("cycles_per_sec", Json::Float(est_cycles / warm_seq_secs)),
             ]),
         ),
         (

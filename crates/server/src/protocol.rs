@@ -713,12 +713,19 @@ pub fn read_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
 
 /// Writes one protocol line and flushes it.
 ///
+/// The line and its newline go out in one `write_all`: on a raw
+/// `TcpStream` two writes become two segments, and with Nagle on the
+/// second waits for the peer's delayed ACK of the first — tens of
+/// milliseconds per exchange on a persistent connection.
+///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(&buf)?;
     writer.flush()
 }
 
@@ -727,6 +734,34 @@ use sharing_json::{FromJson, ToJson};
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `Write` that records each `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_issues_one_write_per_line() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, r#"{"type":"ping"}"#).unwrap();
+        write_line(&mut w, "").unwrap();
+        assert_eq!(
+            w.writes,
+            vec![b"{\"type\":\"ping\"}\n".to_vec(), b"\n".to_vec()]
+        );
+    }
 
     #[test]
     fn run_round_trips() {

@@ -266,8 +266,17 @@ fn slow_but_alive_worker_times_out_and_work_lands_on_the_survivor() {
         sample(&text, "ssimd_dispatch_retries_total").is_some_and(|n| n >= 1.0),
         "timeouts on the stalled worker must be counted as retries: {text}"
     );
-    // The staller answered every health probe: it is slow, not dead, so
-    // the pool still counts both workers healthy.
+    // The staller answers every health probe: it is slow, not dead. The
+    // timeouts mark it broken, and the next probe (every 100 ms here)
+    // re-admits it, so the pool soon counts both workers healthy again.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut text = text;
+    while sample(&text, "ssimd_workers_healthy") != Some(2.0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        text = metrics_text(coord.local_addr());
+    }
     assert_eq!(sample(&text, "ssimd_workers_healthy"), Some(2.0), "{text}");
 
     coord.stop();

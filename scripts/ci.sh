@@ -56,34 +56,26 @@ echo "== profile smoke: cycle attribution conserves and is byte-identical =="
 diff "$TRACE_TMP/prof_a.txt" "$TRACE_TMP/prof_b.txt"
 grep -q 'conserved true' "$TRACE_TMP/prof_a.txt"
 
-echo "== engine smoke: event-driven byte-identical to legacy =="
+echo "== VM threads smoke: 4 worker threads byte-identical to the default =="
+# The VM worker count must be unobservable (DESIGN.md §14): a
+# single-trace run and a 4-thread PARSEC VM, both at --threads 4, must
+# match the default run's bytes exactly.
+"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json > "$TRACE_TMP/run_default.json"
 "$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine legacy > "$TRACE_TMP/run_legacy.json"
-"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine event > "$TRACE_TMP/run_event.json"
-diff "$TRACE_TMP/run_legacy.json" "$TRACE_TMP/run_event.json"
-
-echo "== sharded smoke: 4 worker shards byte-identical to the event engine =="
-# The sharded engine's worker count must be unobservable (DESIGN.md §14):
-# a single-trace run and a 4-thread PARSEC VM, both at --threads 4, must
-# match the event engine's bytes exactly.
-"$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
-  --engine sharded --threads 4 > "$TRACE_TMP/run_sharded.json"
-diff "$TRACE_TMP/run_event.json" "$TRACE_TMP/run_sharded.json"
+  --threads 4 > "$TRACE_TMP/run_threads.json"
+diff "$TRACE_TMP/run_default.json" "$TRACE_TMP/run_threads.json"
+"$SSIM" run --benchmark dedup --len 2000 --seed 9 --json > "$TRACE_TMP/vm_default.json"
 "$SSIM" run --benchmark dedup --len 2000 --seed 9 --json \
-  --engine event > "$TRACE_TMP/vm_event.json"
-"$SSIM" run --benchmark dedup --len 2000 --seed 9 --json \
-  --engine sharded --threads 4 > "$TRACE_TMP/vm_sharded.json"
-diff "$TRACE_TMP/vm_event.json" "$TRACE_TMP/vm_sharded.json"
+  --threads 4 > "$TRACE_TMP/vm_threads.json"
+diff "$TRACE_TMP/vm_default.json" "$TRACE_TMP/vm_threads.json"
 
 echo "== perf guard: sweep throughput must beat the 1.9M cycles/sec seed =="
 # A short-trace suite sweep (all 15 benchmarks x 72 shapes). The seed
 # repo measured 1.9M simulated cycles/sec on the standard sweep; the
-# event-driven engine must never regress below that floor. If the
-# single-worker sharded VM path also clears the seed floor — i.e. the
-# barrier/fork/replay machinery is not the bottleneck — hold the event
-# engine to the stricter 2.5M floor it has delivered since the sharded
-# engine landed.
+# single-worker warm sweep must never regress below that floor. If the
+# single-worker VM path also clears the seed floor — i.e. the
+# barrier/fork/replay machinery is not the bottleneck — hold the sweep
+# to the stricter 2.5M floor.
 cargo run --release --offline -p sharing-market --example bench_sweep -- \
   --len 10000 --out "$TRACE_TMP/sweep_perf.json"
 CPS="$(grep -o '"cycles_per_sec": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
@@ -97,7 +89,7 @@ awk -v cps="$CPS" -v vm_cps="$VM_CPS" 'BEGIN {
     printf "perf guard FAILED: %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
     exit 1
   }
-  printf "perf guard ok: %.2fM cycles/sec (floor %.1fM, sharded 1-worker %.2fM)\n", \
+  printf "perf guard ok: %.2fM cycles/sec (floor %.1fM, VM 1-worker %.2fM)\n", \
     cps / 1e6, floor / 1e6, vm_cps / 1e6
 }'
 
