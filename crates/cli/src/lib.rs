@@ -4,9 +4,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sharing_core::{RunOptions, SimConfig, Simulator, VmSimulator};
+use sharing_core::{
+    RunOptions, SimConfig, SimulateError, Simulator, VCoreShape, Workload as SimWorkload,
+    WorkloadTrace,
+};
 use sharing_dc::{BillingMode, DcSim, Scenario};
 use sharing_obs::TraceBuffer;
+use sharing_server::ServerConfig;
 use sharing_trace::{
     extra_profile, Benchmark, TraceCache, TraceSpec, WorkloadProfile, ALL_BENCHMARKS,
     EXTRA_PROFILES,
@@ -47,11 +51,9 @@ pub enum Command {
 /// What workload a `run` simulates.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Workload {
-    /// One of the paper's fifteen calibrated benchmarks.
-    Benchmark(Benchmark),
-    /// One of the extra seeded profiles (`bursty`, `phaseshift`),
-    /// resolved by name like a benchmark.
-    Extra(String),
+    /// A `--benchmark` name: one of the paper's fifteen calibrated
+    /// benchmarks or an extra seeded profile (`bursty`, `phaseshift`).
+    Named(SimWorkload),
     /// A user-supplied [`WorkloadProfile`] JSON file.
     ProfileFile(String),
     /// A hand-written assembly file (see [`sharing_isa::asm`]), repeated
@@ -131,7 +133,7 @@ pub struct ProfileArgs {
     /// The workload to profile. The attribution runs on one VCore, so
     /// only single-thread workloads are accepted (`execute` rejects
     /// PARSEC and threaded extras with a clean error).
-    pub workload: Workload,
+    pub workload: SimWorkload,
     /// Slice count.
     pub slices: usize,
     /// L2 bank count.
@@ -160,32 +162,9 @@ pub struct TracePackArgs {
 /// Arguments for `ssim serve`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeArgs {
-    /// Listen address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Worker pool size; `None` sizes to the machine.
-    pub workers: Option<usize>,
-    /// Bounded job-queue capacity.
-    pub queue: usize,
-    /// Result-cache capacity in entries (0 disables caching).
-    pub cache: usize,
-    /// When set, the result cache is loaded from this file on start and
-    /// saved back on graceful shutdown.
-    pub cache_file: Option<String>,
-    /// When set, the daemon writes a Chrome trace of every executed job
-    /// here on graceful shutdown.
-    pub trace_out: Option<String>,
-    /// Remote worker daemon addresses (repeatable `--worker`). When
-    /// non-empty the daemon runs as a coordinator: jobs fan out to these
-    /// workers with health checks and bounded retry instead of executing
-    /// in the local pool.
-    pub workers_remote: Vec<String>,
-    /// Per-dispatch retry budget in coordinator mode.
-    pub retries: u32,
-    /// Per-job remote timeout in milliseconds in coordinator mode.
-    pub job_timeout_ms: u64,
-    /// When set, an HTTP/1.1 front door binds here alongside the TCP
-    /// listener (`/health`, `/metrics`, `/status`, `/jobs`).
-    pub http: Option<String>,
+    /// The daemon's configuration: flags override
+    /// [`ServerConfig::default`].
+    pub config: ServerConfig,
     /// When set, write the daemon pid here on start (refusing to start
     /// if another live process holds it) and remove it on exit.
     pub pidfile: Option<String>,
@@ -299,6 +278,8 @@ pub enum CliError {
     TraceOut(String),
     /// The `--csv-out` file could not be written.
     CsvOut(String),
+    /// The simulator refused the run (e.g. `--len 0`).
+    Simulate(SimulateError),
 }
 
 impl fmt::Display for CliError {
@@ -321,16 +302,28 @@ impl fmt::Display for CliError {
             CliError::ConflictingFlags(e) => write!(f, "{e}"),
             CliError::TraceOut(e) => write!(f, "trace output: {e}"),
             CliError::CsvOut(e) => write!(f, "csv output: {e}"),
+            CliError::Simulate(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for CliError {}
 
+impl From<SimulateError> for CliError {
+    fn from(e: SimulateError) -> Self {
+        match e {
+            SimulateError::BadProfile(e) => CliError::BadProfile(e),
+            e => CliError::Simulate(e),
+        }
+    }
+}
+
 /// The usage string.
 #[must_use]
 pub fn usage() -> String {
-    "ssim — Sharing Architecture simulator (Zhou & Wentzlaff, ASPLOS 2014 reproduction)
+    let serve = ServerConfig::default();
+    format!(
+        "ssim — Sharing Architecture simulator (Zhou & Wentzlaff, ASPLOS 2014 reproduction)
 
 USAGE:
     ssim run   (--benchmark <name> | --profile workload.json | --asm prog.s)
@@ -381,6 +374,13 @@ EXAMPLES:
     ssim submit --benchmark gcc --trace 42
     ssim trace-pack fleet.trace.jsonl fleet.trace.json
 
+`ssim serve` runs the ssimd daemon until `ssim submit --shutdown`,
+SIGTERM or SIGINT, any of which drains in-flight jobs first. Defaults:
+--addr {} --workers <cores, max 8> --queue {} --cache {}
+--retries {} --job-timeout-ms {}. `--cache-file` reloads the result
+cache on start and saves it on graceful shutdown. Repeat `--worker` to
+run it as a coordinator fanning jobs out to worker daemons (DESIGN.md §8).
+
 `ssim serve --http` adds an HTTP/1.1 front door (GET /health, /metrics,
 /status; POST /jobs + GET /jobs/<id> polling); `--pidfile` writes the
 daemon pid and SIGTERM/SIGINT drain gracefully. `ssim submit --url`
@@ -410,8 +410,13 @@ A `serve --trace-out` path ending in `.jsonl` streams spans through a
 bounded-buffer writer instead of dumping at exit (crash-safe; re-wrap
 with `ssim trace-pack`). `ssim submit --trace ID` stamps a distributed
 trace id on the job so coordinator dispatch spans and remote worker
-execution spans land in one merged trace under that id."
-        .to_string()
+execution spans land in one merged trace under that id.",
+        serve.addr,
+        serve.queue_capacity,
+        serve.cache_capacity,
+        serve.dispatch_retries,
+        serve.job_timeout_ms,
+    )
 }
 
 fn take_value<'a>(
@@ -427,16 +432,9 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::BadValue(flag.to_string(), v.to_string()))
 }
 
-/// Resolves a `--benchmark` value: the paper suite first, then the
-/// extra seeded profiles (`bursty`, `phaseshift`).
-fn parse_workload_name(v: &str) -> Result<Workload, CliError> {
-    if let Some(b) = Benchmark::from_name(v) {
-        return Ok(Workload::Benchmark(b));
-    }
-    if extra_profile(v).is_some() {
-        return Ok(Workload::Extra(v.to_string()));
-    }
-    Err(CliError::UnknownBenchmark(v.to_string()))
+/// Resolves a `--benchmark` value with [`SimWorkload::from_name`].
+fn parse_workload_name(v: &str) -> Result<SimWorkload, CliError> {
+    SimWorkload::from_name(v).ok_or_else(|| CliError::UnknownBenchmark(v.to_string()))
 }
 
 /// Parses CLI arguments (without the binary name).
@@ -453,7 +451,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "config" => Ok(Command::EmitConfig),
         "run" => {
             let mut out = RunArgs {
-                workload: Workload::Benchmark(Benchmark::Gcc),
+                workload: Workload::Named(SimWorkload::Benchmark(Benchmark::Gcc)),
                 slices: 1,
                 banks: 2,
                 len: 60_000,
@@ -467,7 +465,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--benchmark" => {
-                        out.workload = parse_workload_name(take_value(flag, &mut it)?)?;
+                        out.workload =
+                            Workload::Named(parse_workload_name(take_value(flag, &mut it)?)?);
                         got_workload = true;
                     }
                     "--profile" => {
@@ -575,7 +574,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "profile" => {
             let mut out = ProfileArgs {
-                workload: Workload::Benchmark(Benchmark::Gcc),
+                workload: SimWorkload::Benchmark(Benchmark::Gcc),
                 slices: 1,
                 banks: 2,
                 len: 60_000,
@@ -619,40 +618,37 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::TracePack(TracePackArgs { input, output }))
         }
         "serve" => {
-            let mut out = ServeArgs {
-                addr: format!("127.0.0.1:{}", sharing_server::DEFAULT_PORT),
-                workers: None,
-                queue: 64,
-                cache: 1024,
-                cache_file: None,
-                trace_out: None,
-                workers_remote: Vec::new(),
-                retries: 3,
-                job_timeout_ms: 30_000,
-                http: None,
-                pidfile: None,
-            };
+            let mut cfg = ServerConfig::default();
+            let mut pidfile = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--addr" => out.addr = take_value(flag, &mut it)?.clone(),
-                    "--http" => out.http = Some(take_value(flag, &mut it)?.clone()),
-                    "--pidfile" => out.pidfile = Some(take_value(flag, &mut it)?.clone()),
-                    "--workers" => {
-                        out.workers = Some(parse_num(flag, take_value(flag, &mut it)?)?);
+                    "--addr" => cfg.addr = take_value(flag, &mut it)?.clone(),
+                    "--http" => cfg.http_addr = Some(take_value(flag, &mut it)?.clone()),
+                    "--pidfile" => pidfile = Some(take_value(flag, &mut it)?.clone()),
+                    "--workers" => cfg.workers = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--queue" => {
+                        cfg.queue_capacity = parse_num(flag, take_value(flag, &mut it)?)?;
+                        if cfg.queue_capacity == 0 {
+                            return Err(CliError::BadValue(flag.clone(), "0".to_string()));
+                        }
                     }
-                    "--queue" => out.queue = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--cache" => out.cache = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--cache-file" => out.cache_file = Some(take_value(flag, &mut it)?.clone()),
-                    "--trace-out" => out.trace_out = Some(take_value(flag, &mut it)?.clone()),
-                    "--worker" => out.workers_remote.push(take_value(flag, &mut it)?.clone()),
-                    "--retries" => out.retries = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--cache" => cfg.cache_capacity = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--cache-file" => cfg.cache_path = Some(take_value(flag, &mut it)?.clone()),
+                    "--trace-out" => cfg.trace_path = Some(take_value(flag, &mut it)?.clone()),
+                    "--worker" => cfg.remote_workers.push(take_value(flag, &mut it)?.clone()),
+                    "--retries" => {
+                        cfg.dispatch_retries = parse_num(flag, take_value(flag, &mut it)?)?;
+                    }
                     "--job-timeout-ms" => {
-                        out.job_timeout_ms = parse_num(flag, take_value(flag, &mut it)?)?;
+                        cfg.job_timeout_ms = parse_num(flag, take_value(flag, &mut it)?)?;
                     }
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            Ok(Command::Serve(out))
+            Ok(Command::Serve(ServeArgs {
+                config: cfg,
+                pidfile,
+            }))
         }
         "submit" => {
             let mut addr = format!("127.0.0.1:{}", sharing_server::DEFAULT_PORT);
@@ -815,37 +811,16 @@ fn load_shaped_config(
 /// per-Slice cycle attribution. Same seed ⇒ byte-identical output.
 fn execute_profile(args: &ProfileArgs) -> Result<String, CliError> {
     let cfg = load_shaped_config(args.config_path.as_deref(), args.slices, args.banks)?;
+    if args.workload.is_threaded() {
+        return Err(CliError::ConflictingFlags(format!(
+            "`ssim profile` attributes cycles on one VCore; `{}` is threaded — pick a \
+             single-thread workload (see `ssim list`)",
+            args.workload.name()
+        )));
+    }
     let spec = TraceSpec::new(args.len, args.seed);
-    let traces = TraceCache::global();
-    let trace = match &args.workload {
-        Workload::Benchmark(b) => {
-            if b.is_parsec() {
-                return Err(CliError::ConflictingFlags(format!(
-                    "`ssim profile` attributes cycles on one VCore; `{}` is a threaded PARSEC \
-                     benchmark — pick a single-thread one (see `ssim list`)",
-                    b.name()
-                )));
-            }
-            traces.single(*b, &spec)
-        }
-        Workload::Extra(name) => {
-            let profile =
-                extra_profile(name).ok_or_else(|| CliError::UnknownBenchmark(name.clone()))?;
-            if profile.threads > 1 {
-                return Err(CliError::ConflictingFlags(format!(
-                    "`ssim profile` attributes cycles on one VCore; extra profile `{name}` is \
-                     threaded — pick a single-thread workload (see `ssim list`)"
-                )));
-            }
-            traces
-                .profile_single(&profile, &spec)
-                .map_err(CliError::BadProfile)?
-        }
-        other => {
-            return Err(CliError::ConflictingFlags(format!(
-                "`ssim profile` takes --benchmark only (got {other:?})"
-            )));
-        }
+    let WorkloadTrace::Single(trace) = args.workload.trace(&spec, TraceCache::global())? else {
+        unreachable!("a single-thread workload has a single trace");
     };
     let sim = Simulator::new(cfg).expect("validated config");
     let out = sim.run_with(&trace, RunOptions::new().profile());
@@ -880,43 +855,6 @@ fn execute_trace_pack(args: &TracePackArgs) -> Result<String, CliError> {
     ))
 }
 
-fn run_one(
-    bench: Benchmark,
-    cfg: SimConfig,
-    len: usize,
-    seed: u64,
-    obs: Option<&TraceBuffer>,
-    threads: usize,
-) -> sharing_core::SimResult {
-    let spec = TraceSpec::new(len, seed);
-    let traces = TraceCache::global();
-    if bench.is_parsec() {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            traces.threaded(bench, &spec)
-        };
-        let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        VmSimulator::new(cfg)
-            .expect("validated config")
-            .with_threads(threads)
-            .run(&trace)
-    } else {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            traces.single(bench, &spec)
-        };
-        let sim = Simulator::new(cfg).expect("validated config");
-        let _g = obs.map(|o| o.span(format!("simulate {}", bench.name()), "ssim", 0));
-        let mut opts = RunOptions::new();
-        if let Some(o) = obs {
-            // The traced path also emits a logical-cycle span, so the
-            // trace shows both wall time and simulated time.
-            opts = opts.trace_to(o);
-        }
-        sim.run_with(&trace, opts).result
-    }
-}
-
 fn run_workload(
     workload: &Workload,
     cfg: SimConfig,
@@ -925,94 +863,71 @@ fn run_workload(
     obs: Option<&TraceBuffer>,
     threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
-    match workload {
-        Workload::Benchmark(b) => Ok(run_one(*b, cfg, len, seed, obs, threads)),
-        Workload::AsmFile(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
-            let block = sharing_isa::asm::assemble(&text, 0x1_0000)
-                .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
-            let mut block = block;
-            if block.is_empty() {
-                return Err(CliError::BadAsm(format!("{path}: empty program")));
-            }
-            // The block repeats as one loop iteration: if it does not
-            // already end with taken control flow, close the loop with a
-            // jump back to the top so the committed path stays connected.
-            let last = block.last().expect("non-empty");
-            if last.next_pc() != block[0].pc && last.next_pc() == last.pc + 4 {
-                block.push(sharing_isa::DynInst::jump(last.pc + 4, block[0].pc));
-            }
-            let mut insts = Vec::with_capacity(len);
-            while insts.len() < len {
-                insts.extend(block.iter().copied());
-            }
-            insts.truncate(len);
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| "asm".to_string(), |s| s.to_string_lossy().into_owned());
-            let trace = sharing_trace::Trace::from_insts(name, insts);
-            let sim = Simulator::new(cfg).expect("validated config");
-            let _g = obs.map(|o| o.span(format!("simulate {}", trace.name()), "ssim", 0));
-            let mut opts = RunOptions::new();
-            if let Some(o) = obs {
-                opts = opts.trace_to(o);
-            }
-            Ok(sim.run_with(&trace, opts).result)
-        }
+    let from_file;
+    let workload = match workload {
+        Workload::Named(w) => w,
         Workload::ProfileFile(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
             let profile: WorkloadProfile = sharing_json::from_str(&text)
                 .map_err(|e| CliError::BadProfile(format!("{path}: {e}")))?;
-            run_profile(&profile, cfg, len, seed, obs, threads)
+            from_file = SimWorkload::Profile(Box::new(profile));
+            &from_file
         }
-        Workload::Extra(name) => {
-            let profile =
-                extra_profile(name).ok_or_else(|| CliError::UnknownBenchmark(name.clone()))?;
-            run_profile(&profile, cfg, len, seed, obs, threads)
-        }
-    }
+        Workload::AsmFile(path) => return run_asm(path, cfg, len, obs),
+    };
+    let spec = TraceSpec::new(len, seed);
+    Ok(sharing_core::simulate(
+        workload,
+        cfg,
+        &spec,
+        TraceCache::global(),
+        threads,
+        obs,
+    )?)
 }
 
-/// Simulates one [`WorkloadProfile`] (from a `--profile` file or an
-/// extra built-in), threading through the shared trace cache.
-fn run_profile(
-    profile: &WorkloadProfile,
+/// Runs a hand-written assembly file, its block repeated to `len`
+/// instructions, on one VCore.
+fn run_asm(
+    path: &str,
     cfg: SimConfig,
     len: usize,
-    seed: u64,
     obs: Option<&TraceBuffer>,
-    threads: usize,
 ) -> Result<sharing_core::SimResult, CliError> {
-    let spec = TraceSpec::new(len, seed);
-    if profile.threads > 1 {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            TraceCache::global()
-                .profile_threaded(profile, &spec)
-                .map_err(CliError::BadProfile)?
-        };
-        let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        Ok(VmSimulator::new(cfg)
-            .expect("validated config")
-            .with_threads(threads)
-            .run(&trace))
-    } else {
-        let trace = {
-            let _g = obs.map(|o| o.span("trace-gen", "ssim", 0));
-            TraceCache::global()
-                .profile_single(profile, &spec)
-                .map_err(CliError::BadProfile)?
-        };
-        let sim = Simulator::new(cfg).expect("validated config");
-        let _g = obs.map(|o| o.span(format!("simulate {}", profile.name), "ssim", 0));
-        let mut opts = RunOptions::new();
-        if let Some(o) = obs {
-            opts = opts.trace_to(o);
-        }
-        Ok(sim.run_with(&trace, opts).result)
+    if len == 0 {
+        return Err(SimulateError::EmptyTrace.into());
     }
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
+    let mut block = sharing_isa::asm::assemble(&text, 0x1_0000)
+        .map_err(|e| CliError::BadAsm(format!("{path}: {e}")))?;
+    if block.is_empty() {
+        return Err(CliError::BadAsm(format!("{path}: empty program")));
+    }
+    // The block repeats as one loop iteration: if it does not
+    // already end with taken control flow, close the loop with a
+    // jump back to the top so the committed path stays connected.
+    let last = block.last().expect("non-empty");
+    if last.next_pc() != block[0].pc && last.next_pc() == last.pc + 4 {
+        block.push(sharing_isa::DynInst::jump(last.pc + 4, block[0].pc));
+    }
+    let mut insts = Vec::with_capacity(len);
+    while insts.len() < len {
+        insts.extend(block.iter().copied());
+    }
+    insts.truncate(len);
+    let name = std::path::Path::new(path)
+        .file_stem()
+        .map_or_else(|| "asm".to_string(), |s| s.to_string_lossy().into_owned());
+    let trace = sharing_trace::Trace::from_insts(name, insts);
+    let sim = Simulator::new(cfg).expect("validated config");
+    let _g = obs.map(|o| o.span(format!("simulate {}", trace.name()), "ssim", 0));
+    let mut opts = RunOptions::new();
+    if let Some(o) = obs {
+        opts = opts.trace_to(o);
+    }
+    Ok(sim.run_with(&trace, opts).result)
 }
 
 /// IPC per `(slices, banks)` grid point, as collected from a daemon sweep.
@@ -1768,21 +1683,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Profile(args) => execute_profile(args),
         Command::TracePack(args) => execute_trace_pack(args),
         Command::Serve(args) => {
-            let mut cfg = sharing_server::ServerConfig {
-                addr: args.addr.clone(),
-                queue_capacity: args.queue,
-                cache_capacity: args.cache,
-                cache_path: args.cache_file.clone(),
-                trace_path: args.trace_out.clone(),
-                remote_workers: args.workers_remote.clone(),
-                dispatch_retries: args.retries,
-                job_timeout_ms: args.job_timeout_ms,
-                http_addr: args.http.clone(),
-                ..sharing_server::ServerConfig::default()
-            };
-            if let Some(w) = args.workers {
-                cfg.workers = w;
-            }
             // The pidfile is claimed before the sockets bind, so two
             // daemons racing on one pidfile cannot both come up; its
             // guard removes the file when this arm returns.
@@ -1805,9 +1705,10 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 Ok(false) => {}
                 Err(e) => return Err(CliError::Server(e)),
             }
-            let handle =
-                sharing_server::Server::start(cfg).map_err(|e| CliError::Server(e.to_string()))?;
-            if args.workers_remote.is_empty() {
+            let remote_workers = args.config.remote_workers.len();
+            let handle = sharing_server::Server::start(args.config.clone())
+                .map_err(|e| CliError::Server(e.to_string()))?;
+            if remote_workers == 0 {
                 eprintln!(
                     "ssim serve: listening on {} (stop with `ssim submit --shutdown`)",
                     handle.local_addr()
@@ -1816,7 +1717,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 eprintln!(
                     "ssim serve: coordinating {} worker(s) on {} (stop with `ssim submit \
                      --shutdown`)",
-                    args.workers_remote.len(),
+                    remote_workers,
                     handle.local_addr()
                 );
             }
@@ -1934,14 +1835,12 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 }
                 None => None,
             };
-            let banks = [0usize, 1, 2, 4, 8, 16, 32, 64, 128];
-            let grid: Vec<(usize, usize)> = (1..=8)
-                .flat_map(|s| banks.iter().map(move |&b| (s, b)))
-                .collect();
+            let grid: Vec<VCoreShape> = VCoreShape::sweep_grid().collect();
             let ipcs: Vec<f64> = match &remote {
                 Some(points) => grid
                     .iter()
-                    .map(|&(s, b)| {
+                    .map(|shape| {
+                        let (s, b) = (shape.slices, shape.l2_banks);
                         points.0.get(&(s, b)).copied().ok_or_else(|| {
                             CliError::Server(format!("daemon sweep missing shape {s}s/{b}b"))
                         })
@@ -1949,14 +1848,24 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                     .collect::<Result<_, _>>()?,
                 None => {
                     let jobs = sharing_core::par::resolve_jobs(args.jobs);
-                    sharing_core::par::map_indexed(jobs, &grid, |_, &(s, b)| {
+                    let workload = SimWorkload::Benchmark(args.benchmark);
+                    let spec = TraceSpec::new(args.len, args.seed);
+                    sharing_core::par::map_indexed(jobs, &grid, |_, shape| {
+                        let (s, b) = (shape.slices, shape.l2_banks);
                         let cfg = SimConfig::with_shape(s, b)
                             .map_err(|e| CliError::BadSimConfig(e.to_string()))?;
                         let t0 = std::time::Instant::now();
                         let mut guard = obs
                             .as_ref()
                             .map(|o| o.span(format!("point {s}s/{b}b"), "sweep", 0));
-                        let r = run_one(args.benchmark, cfg, args.len, args.seed, None, 1);
+                        let r = sharing_core::simulate(
+                            &workload,
+                            cfg,
+                            &spec,
+                            TraceCache::global(),
+                            1,
+                            None,
+                        )?;
                         if let Some(g) = guard.as_mut() {
                             use sharing_json::Json;
                             let dt = t0.elapsed().as_secs_f64().max(1e-9);
@@ -1969,31 +1878,34 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                         Ok(r.ipc())
                     })
                     .into_iter()
-                    .collect::<Result<_, _>>()?
+                    .collect::<Result<_, CliError>>()?
                 }
             };
             let mut out = format!(
                 "{}: IPC over the paper's configuration grid (len {}, seed {})\n\n",
                 args.benchmark, args.len, args.seed
             );
+            // One row per Slice count, one column per L2 size.
+            let cols = grid.iter().filter(|shape| shape.slices == 1).count();
             out.push_str("slices\\banks");
-            for b in banks {
-                out.push_str(&format!("{:>7}", b * 64));
+            for shape in &grid[..cols] {
+                out.push_str(&format!("{:>7}", shape.l2_banks * 64));
             }
             out.push('\n');
             for (i, ipc) in ipcs.iter().enumerate() {
-                if i % banks.len() == 0 {
-                    out.push_str(&format!("{:>12}", grid[i].0));
+                if i % cols == 0 {
+                    out.push_str(&format!("{:>12}", grid[i].slices));
                 }
                 out.push_str(&format!("{ipc:>7.3}"));
-                if (i + 1) % banks.len() == 0 {
+                if (i + 1) % cols == 0 {
                     out.push('\n');
                 }
             }
             out.push_str("\n(columns are L2 KB: 0, 64, 128, 256, 512, 1024, 2048, 4096, 8192)\n");
             if let Some(path) = &args.csv_out {
                 let mut csv = String::from("benchmark,slices,l2_banks,l2_kb,ipc\n");
-                for (&(s, b), ipc) in grid.iter().zip(&ipcs) {
+                for (shape, ipc) in grid.iter().zip(&ipcs) {
+                    let (s, b) = (shape.slices, shape.l2_banks);
                     let _ = writeln!(csv, "{},{s},{b},{},{ipc:.6}", args.benchmark, b * 64);
                 }
                 std::fs::write(path, csv).map_err(|e| CliError::CsvOut(format!("{path}: {e}")))?;
@@ -2042,7 +1954,10 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run(a) => {
-                assert_eq!(a.workload, Workload::Benchmark(Benchmark::Mcf));
+                assert_eq!(
+                    a.workload,
+                    Workload::Named(SimWorkload::Benchmark(Benchmark::Mcf))
+                );
                 assert_eq!(a.slices, 4);
                 assert_eq!(a.banks, 8);
                 assert_eq!(a.len, 1000);
@@ -2107,7 +2022,10 @@ mod tests {
     fn run_benchmark_resolves_extra_profiles() {
         let cmd = parse(&s(&["run", "--benchmark", "bursty"])).unwrap();
         match cmd {
-            Command::Run(a) => assert_eq!(a.workload, Workload::Extra("bursty".to_string())),
+            Command::Run(a) => assert_eq!(
+                a.workload,
+                Workload::Named(SimWorkload::from_name("bursty").unwrap())
+            ),
             other => panic!("expected run, got {other:?}"),
         }
         // A made-up name still fails cleanly after both lookups miss.
@@ -2160,7 +2078,7 @@ mod tests {
     #[test]
     fn bursty_profile_runs_end_to_end() {
         let out = execute(&Command::Run(RunArgs {
-            workload: Workload::Extra("bursty".to_string()),
+            workload: Workload::Named(SimWorkload::from_name("bursty").unwrap()),
             slices: 2,
             banks: 4,
             len: 500,
@@ -2235,7 +2153,7 @@ mod tests {
     #[test]
     fn bad_config_file_reports_cleanly() {
         let cmd = Command::Run(RunArgs {
-            workload: Workload::Benchmark(Benchmark::Gcc),
+            workload: Workload::Named(SimWorkload::Benchmark(Benchmark::Gcc)),
             slices: 1,
             banks: 1,
             len: 100,
@@ -2246,6 +2164,24 @@ mod tests {
             threads: 1,
         });
         assert!(matches!(execute(&cmd), Err(CliError::BadConfig(_))));
+    }
+
+    #[test]
+    fn zero_length_runs_are_clean_errors() {
+        let want = CliError::Simulate(SimulateError::EmptyTrace);
+        for args in [
+            &["run", "--benchmark", "gcc"][..],
+            &["run", "--benchmark", "dedup"],
+            &["run", "--benchmark", "bursty"],
+            &["run", "--asm", "/nonexistent/kernel.s"],
+            &["profile", "--benchmark", "gcc"],
+            &["sweep", "--benchmark", "gcc"],
+        ] {
+            let mut argv = s(args);
+            argv.extend(s(&["--len", "0"]));
+            let cmd = parse(&argv).unwrap();
+            assert_eq!(execute(&cmd), Err(want.clone()), "{args:?}");
+        }
     }
 
     #[test]
@@ -2319,18 +2255,30 @@ mod server_tests {
         assert_eq!(
             cmd,
             Command::Serve(ServeArgs {
-                addr: "0.0.0.0:7777".to_string(),
-                workers: Some(2),
-                queue: 8,
-                cache: 16,
-                cache_file: Some("/tmp/ssimd.cache".to_string()),
-                trace_out: None,
-                workers_remote: vec![],
-                retries: 3,
-                job_timeout_ms: 30_000,
-                http: None,
+                config: ServerConfig {
+                    addr: "0.0.0.0:7777".to_string(),
+                    workers: 2,
+                    queue_capacity: 8,
+                    cache_capacity: 16,
+                    cache_path: Some("/tmp/ssimd.cache".to_string()),
+                    ..ServerConfig::default()
+                },
                 pidfile: None,
             })
+        );
+        // Unset flags keep the daemon's own defaults.
+        match parse(&s(&["serve", "--pidfile", "/tmp/ssim.pid"])).unwrap() {
+            Command::Serve(a) => {
+                assert_eq!(a.config, ServerConfig::default());
+                assert_eq!(a.pidfile.as_deref(), Some("/tmp/ssim.pid"));
+            }
+            other => panic!("expected serve, got {other:?}"),
+        }
+        // A zero-slot queue could admit nothing; it is refused at parse
+        // time like `--threads 0`.
+        assert_eq!(
+            parse(&s(&["serve", "--queue", "0"])),
+            Err(CliError::BadValue("--queue".to_string(), "0".to_string()))
         );
 
         // Coordinator mode: `--worker` repeats, retry/timeout knobs parse.
@@ -2348,9 +2296,12 @@ mod server_tests {
         .unwrap();
         match cmd {
             Command::Serve(a) => {
-                assert_eq!(a.workers_remote, vec!["host-a:42014", "host-b:42014"]);
-                assert_eq!(a.retries, 5);
-                assert_eq!(a.job_timeout_ms, 1500);
+                assert_eq!(
+                    a.config.remote_workers,
+                    vec!["host-a:42014", "host-b:42014"]
+                );
+                assert_eq!(a.config.dispatch_retries, 5);
+                assert_eq!(a.config.job_timeout_ms, 1500);
             }
             other => panic!("expected serve, got {other:?}"),
         }
@@ -2959,7 +2910,7 @@ mod observability_tests {
         assert_eq!(
             cmd,
             Command::Profile(ProfileArgs {
-                workload: Workload::Benchmark(Benchmark::Mcf),
+                workload: SimWorkload::Benchmark(Benchmark::Mcf),
                 slices: 4,
                 banks: 8,
                 len: 900,
@@ -3061,7 +3012,7 @@ mod observability_tests {
             .find(|b| b.is_parsec())
             .expect("suite has PARSEC benchmarks");
         let cmd = Command::Profile(ProfileArgs {
-            workload: Workload::Benchmark(*parsec),
+            workload: SimWorkload::Benchmark(*parsec),
             slices: 1,
             banks: 2,
             len: 400,

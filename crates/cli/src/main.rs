@@ -12,7 +12,7 @@
 //! ssim sweep --benchmark mcf
 //! ssim sweep --benchmark mcf --daemon 127.0.0.1:42014   # via a running ssimd
 //! ssim dc --scenario bursty.json --seed 7   # datacenter market simulation
-//! ssim serve --workers 4            # run the ssimd daemon in-process
+//! ssim serve --workers 4            # run the ssimd daemon
 //! ssim submit --benchmark mcf       # submit a job to a running daemon
 //! ssim config                       # emit the default config as JSON
 //! ssim list                         # available benchmarks

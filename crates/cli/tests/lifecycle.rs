@@ -1,6 +1,6 @@
-//! Daemon lifecycle tests against the real `ssimd` binary: pidfile
-//! create/remove, SIGTERM graceful drain, and cache-file integrity when
-//! a drain is killed halfway.
+//! Daemon lifecycle tests against the real `ssim serve` process: pidfile
+//! create/remove/refusal, SIGTERM graceful drain, and cache-file
+//! integrity when a drain is killed halfway.
 
 use sharing_http::request;
 use sharing_server::ResultCache;
@@ -12,14 +12,15 @@ use std::time::{Duration, Instant};
 fn unique_path(stem: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("ssimd-test-{}-{stem}-{n}", std::process::id()))
+    std::env::temp_dir().join(format!("ssim-serve-test-{}-{stem}-{n}", std::process::id()))
 }
 
-/// Spawns `ssimd` with the given extra flags and returns the child plus
+/// Spawns `ssim serve` with the given extra flags and returns the child plus
 /// the TCP and HTTP addresses parsed from its startup log.
 fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ssimd"));
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ssim"));
     cmd.args([
+        "serve",
         "--addr",
         "127.0.0.1:0",
         "--http",
@@ -30,7 +31,7 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
     .args(extra)
     .stdout(Stdio::null())
     .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn ssimd");
+    let mut child = cmd.spawn().expect("spawn ssim serve");
     let stderr = child.stderr.take().expect("stderr piped");
     let mut reader = BufReader::new(stderr);
     let mut tcp = None;
@@ -39,9 +40,9 @@ fn spawn_daemon(extra: &[&str]) -> (Child, String, String) {
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read daemon stderr");
         assert_ne!(n, 0, "daemon exited before announcing its addresses");
-        if let Some(rest) = line.strip_prefix("ssimd: http listening on ") {
+        if let Some(rest) = line.strip_prefix("ssim serve: http listening on ") {
             http = Some(rest.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("ssimd: listening on ") {
+        } else if let Some(rest) = line.strip_prefix("ssim serve: listening on ") {
             tcp = Some(rest.split_whitespace().next().unwrap().to_string());
         }
     }
@@ -118,6 +119,43 @@ fn pidfile_is_created_and_removed_by_sigterm_drain() {
     );
     // The front door is gone with the process.
     assert!(request(&http, "GET", "/health", None).is_err());
+}
+
+#[test]
+fn a_live_pidfile_refuses_a_second_daemon_before_it_binds() {
+    let pidfile = unique_path("pid");
+    let pid_arg = pidfile.to_str().unwrap().to_string();
+    let (mut first, _tcp, _http) = spawn_daemon(&["--pidfile", &pid_arg]);
+
+    let mut second = Command::new(env!("CARGO_BIN_EXE_ssim"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--pidfile", &pid_arg])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn second ssim serve");
+    let status = wait_with_timeout(&mut second, Duration::from_secs(30));
+    assert!(
+        !status.success(),
+        "a second daemon on a live pidfile must fail"
+    );
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut second.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("pidfile"), "{stderr}");
+    assert!(
+        !stderr.contains("listening on"),
+        "the refusal comes before any socket binds: {stderr}"
+    );
+    let content = std::fs::read_to_string(&pidfile).expect("pidfile still present");
+    assert_eq!(
+        content.trim().parse::<u32>().ok(),
+        Some(first.id()),
+        "the pidfile still names the first daemon"
+    );
+
+    send_signal(first.id(), "TERM");
+    let status = wait_with_timeout(&mut first, Duration::from_secs(30));
+    assert!(status.success(), "{status:?}");
+    assert!(!Path::new(&pidfile).exists());
 }
 
 #[test]

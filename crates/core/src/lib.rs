@@ -10,6 +10,8 @@
 //! * [`Simulator`] — run one trace on one VCore via
 //!   [`Simulator::run_with`] and [`RunOptions`];
 //! * [`VmSimulator`] — multi-VCore VMs sharing a coherent L2 (PARSEC);
+//! * [`simulate`] — runs a named [`Workload`] on whichever of the two its
+//!   thread count calls for;
 //! * [`run_phased_with`] — dynamic reconfiguration across program phases
 //!   with the paper's 500/10 000-cycle costs (§5.10);
 //! * [`engine`] — the underlying timing model, exposed for composition;
@@ -50,6 +52,7 @@ pub mod sim;
 pub mod stats;
 pub mod structures;
 pub mod timeline;
+pub mod workload;
 
 pub use config::{
     ConfigError, MemParams, ModelKnobs, PredictorKind, SimConfig, SliceParams, VCoreShape,
@@ -66,3 +69,4 @@ pub use reconfigurable::ReconfigurableVCore;
 pub use sim::{run_phased_with, RunOptions, RunOutput, Simulator};
 pub use stats::{MemCounters, SimResult, SliceStats, StallBreakdown};
 pub use structures::{Distribution, Structure};
+pub use workload::{simulate, SimulateError, Workload, WorkloadTrace};

@@ -1,7 +1,7 @@
 //! Daemon lifecycle: pidfile management and termination signals.
 //!
 //! [`Pidfile`] writes the process id on create and removes the file on
-//! drop, so `ssimd --pidfile` cleans up after a graceful drain.
+//! drop, so `ssim serve --pidfile` cleans up after a graceful drain.
 //! [`install_termination_handler`] registers a minimal SIGTERM/SIGINT
 //! handler that only sets a process-global flag — the issue's "polled
 //! flag" design: the daemon's main loop polls

@@ -5,8 +5,8 @@
 
 use crate::cache::ResultCache;
 use crate::metrics::Metrics;
-use crate::protocol::{DcJob, JobWorkload, RunJob};
-use sharing_core::{RunOptions, SimConfig, SimResult, Simulator, VmSimulator};
+use crate::protocol::{DcJob, RunJob};
+use sharing_core::{SimConfig, SimResult};
 use sharing_dc::DcSim;
 use sharing_json::{Json, ToJson};
 use sharing_trace::{TraceCache, TraceSpec};
@@ -20,38 +20,13 @@ use std::sync::atomic::Ordering;
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for invalid shapes or profiles;
-/// simulation itself is total.
+/// Returns a human-readable message for invalid shapes or profiles and
+/// for a zero trace length; simulation itself is total.
 pub fn simulate(job: &RunJob) -> Result<SimResult, String> {
     let cfg = SimConfig::with_shape(job.slices, job.banks).map_err(|e| e.to_string())?;
     let spec = TraceSpec::new(job.len, job.seed);
-    let traces = TraceCache::global();
-    match &job.workload {
-        JobWorkload::Benchmark(b) => {
-            if b.is_parsec() {
-                Ok(VmSimulator::new(cfg)
-                    .expect("validated config")
-                    .run(&traces.threaded(*b, &spec)))
-            } else {
-                Ok(Simulator::new(cfg)
-                    .expect("validated config")
-                    .run_with(&traces.single(*b, &spec), RunOptions::new())
-                    .result)
-            }
-        }
-        JobWorkload::Profile(p) => {
-            if p.threads > 1 {
-                let trace = traces.profile_threaded(p, &spec)?;
-                Ok(VmSimulator::new(cfg).expect("validated config").run(&trace))
-            } else {
-                let trace = traces.profile_single(p, &spec)?;
-                Ok(Simulator::new(cfg)
-                    .expect("validated config")
-                    .run_with(&trace, RunOptions::new())
-                    .result)
-            }
-        }
-    }
+    sharing_core::simulate(&job.workload, cfg, &spec, TraceCache::global(), 1, None)
+        .map_err(|e| e.to_string())
 }
 
 /// Runs a job through the result cache: on a hit, the stored payload is
@@ -130,6 +105,7 @@ pub fn run_dc_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobWorkload;
     use sharing_trace::Benchmark;
 
     fn job(len: usize, seed: u64) -> RunJob {
@@ -155,6 +131,9 @@ mod tests {
         j.slices = 0;
         assert!(simulate(&j).is_err());
         j.slices = 999;
+        assert!(simulate(&j).is_err());
+        j.slices = 1;
+        j.len = 0;
         assert!(simulate(&j).is_err());
     }
 

@@ -3,7 +3,11 @@
 //! The sweep and market studies behind the paper's figures each run the
 //! simulator hundreds of times over the same `(benchmark, shape, trace)`
 //! grid. This crate turns the simulator into a long-lived daemon so that
-//! cost is paid once and shared:
+//! cost is paid once and shared. It is a library: the daemon process is
+//! `ssim serve`, whose flags fill a [`ServerConfig`] (every default lives
+//! in [`ServerConfig::default`]), and tests and benches embed it with
+//! [`Server::start`].
+//!
 //!
 //! * [`protocol`] — versioned newline-delimited JSON over TCP: `run`,
 //!   `sweep`, `market`, `dc` (datacenter scenarios via `sharing-dc`),

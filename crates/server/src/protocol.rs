@@ -58,14 +58,8 @@ pub const MIN_PROTO: u64 = 1;
 /// connection against hostile input.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// What a `run` job simulates.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JobWorkload {
-    /// One of the calibrated paper benchmarks.
-    Benchmark(Benchmark),
-    /// An inline workload profile.
-    Profile(Box<WorkloadProfile>),
-}
+/// What a `run` job simulates: a paper benchmark or an inline profile.
+pub use sharing_core::Workload as JobWorkload;
 
 /// A single-configuration simulation job.
 #[derive(Clone, Debug, PartialEq)]
@@ -401,21 +395,15 @@ fn parse_benchmark(v: &Json) -> Result<Benchmark, JsonError> {
     Benchmark::from_name(name).ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))
 }
 
-/// A `run` job's `benchmark` field resolves against the paper suite
-/// first, then the extra seeded profiles (`bursty`, `phaseshift`) —
-/// which ship as inline profiles so the cache key carries their full
-/// calibration, exactly as if the client had sent `profile`.
+/// A `run` job's `benchmark` field resolves through
+/// [`JobWorkload::from_name`]: the paper suite, then the extra seeded
+/// profiles, which ship as inline profiles so the cache key carries their
+/// full calibration, exactly as if the client had sent `profile`.
 fn parse_run_workload(v: &Json) -> Result<JobWorkload, JsonError> {
     let name = field(v, "benchmark")?
         .as_str()
         .ok_or_else(|| JsonError("`benchmark` must be a string".into()))?;
-    if let Some(b) = Benchmark::from_name(name) {
-        return Ok(JobWorkload::Benchmark(b));
-    }
-    if let Some(p) = sharing_trace::extra_profile(name) {
-        return Ok(JobWorkload::Profile(Box::new(p)));
-    }
-    Err(JsonError(format!("unknown benchmark `{name}`")))
+    JobWorkload::from_name(name).ok_or_else(|| JsonError(format!("unknown benchmark `{name}`")))
 }
 
 fn parse_utility(name: &str) -> Result<UtilityFn, JsonError> {

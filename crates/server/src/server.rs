@@ -52,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Daemon tunables.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
     /// Bind address (use port 0 for an ephemeral port in tests).
     pub addr: String,

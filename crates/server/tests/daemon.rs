@@ -643,3 +643,50 @@ fn shutdown_drains_in_flight_jobs() {
     // The listener is gone: new connections are refused.
     assert!(Client::connect(addr).is_err());
 }
+
+#[test]
+fn zero_length_jobs_get_a_typed_error_and_the_daemon_keeps_serving() {
+    use std::time::Duration;
+    let handle = start(1, 4);
+    let addr = handle.local_addr();
+    let mut c = Client::connect(addr).unwrap();
+    // A worker that dies on a job never replies: bound every read so the
+    // failure is an error here, not a hung test.
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+
+    for job in [
+        gcc_run(1, 2, 0, 1),
+        Job::Sweep(sharing_server::SweepJob {
+            benchmark: Benchmark::Gcc,
+            len: 0,
+            seed: 1,
+        }),
+        Job::Market(sharing_server::MarketJob {
+            benchmark: Benchmark::Gcc,
+            utility: UtilityFn::Throughput,
+            market: Market::MARKET2,
+            budget: 100.0,
+            len: 0,
+            seed: 1,
+        }),
+    ] {
+        let reply = c.submit(job).expect("a reply, not a hang");
+        assert_eq!(code(&reply), Some(ErrorCode::ExecFailed), "{reply}");
+    }
+
+    // The one worker survived: a normal job on the same daemon completes.
+    let reply = c.submit(gcc_run(1, 2, 500, 1)).expect("normal job");
+    assert!(ok(&reply), "{reply}");
+
+    // And shutdown drains rather than waiting on a dead worker.
+    let reply = c.shutdown().expect("shutdown reply");
+    assert!(ok(&reply), "{reply}");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("daemon drained and stopped");
+    assert!(Client::connect(addr).is_err());
+}

@@ -69,28 +69,36 @@ diff "$TRACE_TMP/run_default.json" "$TRACE_TMP/run_threads.json"
   --threads 4 > "$TRACE_TMP/vm_threads.json"
 diff "$TRACE_TMP/vm_default.json" "$TRACE_TMP/vm_threads.json"
 
-echo "== perf guard: sweep throughput must beat the 1.9M cycles/sec seed =="
+echo "== perf guard: warm single-worker sweep must hold 2.5M cycles/sec =="
 # A short-trace suite sweep (all 15 benchmarks x 72 shapes). The seed
 # repo measured 1.9M simulated cycles/sec on the standard sweep; the
-# single-worker warm sweep must never regress below that floor. If the
-# single-worker VM path also clears the seed floor — i.e. the
-# barrier/fork/replay machinery is not the bottleneck — hold the sweep
-# to the stricter 2.5M floor.
-cargo run --release --offline -p sharing-market --example bench_sweep -- \
-  --len 10000 --out "$TRACE_TMP/sweep_perf.json"
-CPS="$(grep -o '"cycles_per_sec": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
-  | head -n1 | sed 's/.*: *//')"
-VM_CPS="$(grep -o '"vm_cycles_per_sec_single": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
-  | head -n1 | sed 's/.*: *//')"
-awk -v cps="$CPS" -v vm_cps="$VM_CPS" 'BEGIN {
-  floor = 1900000
-  if (vm_cps + 0 >= 1900000) floor = 2500000
+# warm single-worker sweep (the first "cycles_per_sec" key) now measures
+# 3.7-3.8M on a 2-vCPU box, so it is held to 2.5M. The median of three
+# runs keeps one noisy run from deciding the gate. bench_sweep asserts
+# byte-identity (seq vs par, cold vs warm) before it writes --out, so
+# every run must exit 0 and leave a fresh file: a failed run fails CI.
+cargo build --release --offline -p sharing-market --example bench_sweep
+: > "$TRACE_TMP/sweep_cps.txt"
+for run in 1 2 3; do
+  rm -f "$TRACE_TMP/sweep_perf.json"
+  target/release/examples/bench_sweep --len 10000 --out "$TRACE_TMP/sweep_perf.json" >/dev/null
+  grep -o '"cycles_per_sec": *[0-9.e+-]*' "$TRACE_TMP/sweep_perf.json" \
+    | head -n1 | sed 's/.*: *//' >> "$TRACE_TMP/sweep_cps.txt"
+done
+if [ "$(grep -c . "$TRACE_TMP/sweep_cps.txt")" -ne 3 ]; then
+  echo "perf guard FAILED: expected 3 cycles_per_sec readings" >&2
+  cat "$TRACE_TMP/sweep_cps.txt" >&2
+  exit 1
+fi
+CPS="$(sort -g "$TRACE_TMP/sweep_cps.txt" | sed -n 2p)"
+awk -v cps="$CPS" 'BEGIN {
+  floor = 2500000
   if (cps + 0 < floor) {
-    printf "perf guard FAILED: %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
+    printf "perf guard FAILED: median %.0f cycles/sec < %.1fM/s floor\n", cps, floor / 1e6
     exit 1
   }
-  printf "perf guard ok: %.2fM cycles/sec (floor %.1fM, VM 1-worker %.2fM)\n", \
-    cps / 1e6, floor / 1e6, vm_cps / 1e6
+  printf "perf guard ok: median %.2fM cycles/sec of 3 runs (floor %.1fM)\n", \
+    cps / 1e6, floor / 1e6
 }'
 
 echo "== multi-node smoke: 2 workers + 1 coordinator, byte-identical sweep =="
