@@ -31,10 +31,71 @@ struct Entry {
 }
 
 impl Entry {
+    const INVALID: Entry = Entry {
+        state: DirState::Invalid,
+        sharers: 0,
+    };
+
     fn sharer_list(&self) -> Vec<usize> {
         (0..MAX_VCORES)
             .filter(|&i| self.sharers & (1 << i) != 0)
             .collect()
+    }
+
+    /// MSI transition for a read by `vcore`.
+    fn read(&mut self, vcore: usize) -> CoherenceAction {
+        let bit = 1u64 << vcore;
+        match self.state {
+            DirState::Invalid => {
+                self.state = DirState::Shared;
+                self.sharers = bit;
+                CoherenceAction::default()
+            }
+            DirState::Shared => {
+                self.sharers |= bit;
+                CoherenceAction::default()
+            }
+            DirState::Modified => {
+                if self.sharers == bit {
+                    // Reader is the owner: silent hit.
+                    return CoherenceAction::default();
+                }
+                // Owner forwards the dirty line; both become sharers.
+                let owner = self.sharer_list()[0];
+                self.state = DirState::Shared;
+                self.sharers |= bit;
+                CoherenceAction {
+                    invalidate: Vec::new(),
+                    fetch_from: Some(owner),
+                }
+            }
+        }
+    }
+
+    /// MSI transition for a write (ownership request) by `vcore`.
+    fn write(&mut self, vcore: usize) -> CoherenceAction {
+        let bit = 1u64 << vcore;
+        let mut action = CoherenceAction::default();
+        match self.state {
+            DirState::Invalid => {}
+            DirState::Shared => {
+                action.invalidate = self
+                    .sharer_list()
+                    .into_iter()
+                    .filter(|&s| s != vcore)
+                    .collect();
+            }
+            DirState::Modified => {
+                if self.sharers != bit {
+                    let owner = self.sharer_list()[0];
+                    action.fetch_from = Some(owner);
+                    action.invalidate.push(owner);
+                }
+            }
+        }
+        self.state = DirState::Modified;
+        self.sharers = bit;
+        action
     }
 }
 
@@ -134,38 +195,10 @@ impl Directory {
     /// Panics if `vcore >= MAX_VCORES`.
     pub fn read(&mut self, line: u64, vcore: usize) -> CoherenceAction {
         Self::check_vcore(vcore);
+        let action = self.lines.entry(line).or_insert(Entry::INVALID).read(vcore);
         self.stats.reads += 1;
-        let bit = 1u64 << vcore;
-        let e = self.lines.entry(line).or_insert(Entry {
-            state: DirState::Invalid,
-            sharers: 0,
-        });
-        match e.state {
-            DirState::Invalid => {
-                e.state = DirState::Shared;
-                e.sharers = bit;
-                CoherenceAction::default()
-            }
-            DirState::Shared => {
-                e.sharers |= bit;
-                CoherenceAction::default()
-            }
-            DirState::Modified => {
-                if e.sharers == bit {
-                    // Reader is the owner: silent hit.
-                    return CoherenceAction::default();
-                }
-                // Owner forwards the dirty line; both become sharers.
-                let owner = e.sharer_list()[0];
-                e.state = DirState::Shared;
-                e.sharers |= bit;
-                self.stats.forwards += 1;
-                CoherenceAction {
-                    invalidate: Vec::new(),
-                    fetch_from: Some(owner),
-                }
-            }
-        }
+        self.stats.forwards += u64::from(action.fetch_from.is_some());
+        action
     }
 
     /// A VCore's L1 writes `line` (needs exclusive ownership).
@@ -175,34 +208,14 @@ impl Directory {
     /// Panics if `vcore >= MAX_VCORES`.
     pub fn write(&mut self, line: u64, vcore: usize) -> CoherenceAction {
         Self::check_vcore(vcore);
+        let action = self
+            .lines
+            .entry(line)
+            .or_insert(Entry::INVALID)
+            .write(vcore);
         self.stats.writes += 1;
-        let bit = 1u64 << vcore;
-        let e = self.lines.entry(line).or_insert(Entry {
-            state: DirState::Invalid,
-            sharers: 0,
-        });
-        let mut action = CoherenceAction::default();
-        match e.state {
-            DirState::Invalid => {}
-            DirState::Shared => {
-                action.invalidate = e
-                    .sharer_list()
-                    .into_iter()
-                    .filter(|&s| s != vcore)
-                    .collect();
-            }
-            DirState::Modified => {
-                if e.sharers != bit {
-                    let owner = e.sharer_list()[0];
-                    action.fetch_from = Some(owner);
-                    action.invalidate.push(owner);
-                    self.stats.forwards += 1;
-                }
-            }
-        }
         self.stats.invalidations += action.invalidate.len() as u64;
-        e.state = DirState::Modified;
-        e.sharers = bit;
+        self.stats.forwards += u64::from(action.fetch_from.is_some());
         action
     }
 
@@ -229,6 +242,46 @@ impl Directory {
     #[must_use]
     pub fn tracked_lines(&self) -> usize {
         self.lines.len()
+    }
+}
+
+/// The directory entries one copy-on-write view of a [`Directory`] has
+/// touched.
+///
+/// [`DirectoryOverlay::read`] and [`DirectoryOverlay::write`] copy a
+/// line's entry out of the base directory on first touch and advance the
+/// copy from then on, so the view issues exactly the coherence actions a
+/// private clone of the directory would. The base is only read; the
+/// overlay keeps no statistics.
+#[derive(Clone, Debug, Default)]
+pub struct DirectoryOverlay {
+    lines: HashMap<u64, Entry>,
+}
+
+impl DirectoryOverlay {
+    fn entry(&mut self, base: &Directory, line: u64, vcore: usize) -> &mut Entry {
+        Directory::check_vcore(vcore);
+        self.lines
+            .entry(line)
+            .or_insert_with(|| base.lines.get(&line).copied().unwrap_or(Entry::INVALID))
+    }
+
+    /// [`Directory::read`] through the overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcore >= MAX_VCORES`.
+    pub fn read(&mut self, base: &Directory, line: u64, vcore: usize) -> CoherenceAction {
+        self.entry(base, line, vcore).read(vcore)
+    }
+
+    /// [`Directory::write`] through the overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcore >= MAX_VCORES`.
+    pub fn write(&mut self, base: &Directory, line: u64, vcore: usize) -> CoherenceAction {
+        self.entry(base, line, vcore).write(vcore)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The configurable, banked L2: a VCore's slice of the sea of cache banks.
 
-use crate::set_assoc::{CacheGeometry, CacheStats, SetAssocCache};
+use crate::set_assoc::{AccessOutcome, CacheGeometry, CacheStats, DetachedSet, SetAssocCache};
+use std::collections::HashMap;
 
 /// Nominal size of one L2 cache bank (the paper assumes 64 KB banks, §3.5).
 pub const BANK_BYTES: u64 = 64 << 10;
@@ -78,6 +79,26 @@ pub struct L2Outcome {
     pub latency: u32,
     /// Dirty victim line written back to memory, if any.
     pub writeback: Option<u64>,
+}
+
+impl L2Outcome {
+    /// The outcome of any access to a zero-bank L2: a miss straight to
+    /// memory with no L2 latency.
+    const NO_BANKS: L2Outcome = L2Outcome {
+        hit: false,
+        bank: 0,
+        latency: 0,
+        writeback: None,
+    };
+
+    fn from_bank(bank: usize, latency: u32, out: AccessOutcome) -> L2Outcome {
+        L2Outcome {
+            hit: out.hit,
+            bank,
+            latency,
+            writeback: out.writeback,
+        }
+    }
 }
 
 /// A VCore's assigned set of L2 banks with low-order line interleaving.
@@ -179,38 +200,31 @@ impl L2Array {
         self.latency.hit_latency(self.distances[b])
     }
 
-    /// Accesses a line. With zero banks this is an unconditional miss with
-    /// zero L2 latency.
-    pub fn access(&mut self, line: u64, is_write: bool) -> L2Outcome {
+    /// The bank serving `line`, its hit latency, and the line number
+    /// within the bank (interleave bits stripped so the bank's sets are
+    /// fully used); `None` with zero banks.
+    fn locate(&self, line: u64) -> Option<(usize, u32, u64)> {
         if self.banks.is_empty() {
-            return L2Outcome {
-                hit: false,
-                bank: 0,
-                latency: 0,
-                writeback: None,
-            };
+            return None;
         }
         let b = self.bank_of(line);
         let latency = self.latency.hit_latency(self.distances[b]);
-        // Strip the interleave bits so the bank's sets are fully used.
-        let local = line / self.banks.len() as u64;
-        let out = self.banks[b].access(local, is_write);
-        L2Outcome {
-            hit: out.hit,
-            bank: b,
-            latency,
-            writeback: out.writeback,
-        }
+        Some((b, latency, line / self.banks.len() as u64))
+    }
+
+    /// Accesses a line. With zero banks this is an unconditional miss with
+    /// zero L2 latency.
+    pub fn access(&mut self, line: u64, is_write: bool) -> L2Outcome {
+        let Some((b, latency, local)) = self.locate(line) else {
+            return L2Outcome::NO_BANKS;
+        };
+        L2Outcome::from_bank(b, latency, self.banks[b].access(local, is_write))
     }
 
     /// Invalidates a line wherever it lives; returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        if self.banks.is_empty() {
-            return false;
-        }
-        let b = self.bank_of(line);
-        let local = line / self.banks.len() as u64;
-        self.banks[b].invalidate(local)
+        self.locate(line)
+            .is_some_and(|(b, _, local)| self.banks[b].invalidate(local))
     }
 
     /// Flushes every bank (required before reassigning banks to another
@@ -231,6 +245,37 @@ impl L2Array {
             total.invalidations += s.invalidations;
         }
         total
+    }
+}
+
+/// The sets one copy-on-write view of an [`L2Array`] has touched.
+///
+/// [`L2Overlay::access`] copies a line's set out of the base array on
+/// first touch and advances the copy from then on, so the view behaves
+/// exactly like a private clone of the array while costing one set copy
+/// per set it touches. The base is only read; the overlay keeps no
+/// statistics.
+#[derive(Clone, Debug, Default)]
+pub struct L2Overlay {
+    /// Touched sets by `(bank, set index within the bank)`.
+    sets: HashMap<(usize, usize), DetachedSet>,
+}
+
+impl L2Overlay {
+    /// [`L2Array::access`] through the overlay: same outcome as the same
+    /// access on a clone of `base` carrying this overlay's earlier
+    /// accesses.
+    pub fn access(&mut self, base: &L2Array, line: u64, is_write: bool) -> L2Outcome {
+        let Some((b, latency, local)) = base.locate(line) else {
+            return L2Outcome::NO_BANKS;
+        };
+        let bank = &base.banks[b];
+        let si = bank.set_index(local);
+        let set = self
+            .sets
+            .entry((b, si))
+            .or_insert_with(|| bank.copy_set(si));
+        L2Outcome::from_bank(b, latency, bank.access_copy(set, local, is_write))
     }
 }
 
@@ -307,6 +352,30 @@ mod tests {
         l2.set_distances(vec![3, 7]);
         assert_eq!(l2.access_latency(0), 4 + 2 * 3);
         assert_eq!(l2.access_latency(1), 4 + 2 * 7);
+    }
+
+    #[test]
+    fn overlay_matches_a_clone_and_copies_only_touched_sets() {
+        let mut base = L2Array::new(8);
+        for line in 0..200u64 {
+            base.access(line * 7, line % 3 == 0);
+        }
+        let (mut clone, mut overlay) = (base.clone(), L2Overlay::default());
+        // Multiples of 8 * 16 all map to set 0 of bank 0 (16 sets of 4
+        // ways per bank); six of them hit, miss and evict.
+        for line in [0u64, 1, 2, 0, 1, 2, 3, 4, 5, 0].map(|k| k * 8 * 16) {
+            assert_eq!(
+                overlay.access(&base, line, line % 3 == 0),
+                clone.access(line, line % 3 == 0)
+            );
+        }
+        assert_eq!(overlay.sets.len(), 1);
+        assert_eq!(base.stats().accesses, 200, "the base is only read");
+        let zero = L2Array::new(0);
+        assert_eq!(
+            L2Overlay::default().access(&zero, 7, true),
+            L2Array::new(0).access(7, true)
+        );
     }
 
     #[test]

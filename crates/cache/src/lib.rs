@@ -16,7 +16,9 @@
 //! * [`L2Array`] — the per-VCore bank set with interleaving and the paper's
 //!   distance-based latency model;
 //! * [`MshrFile`] — miss-status holding registers for non-blocking caches;
-//! * [`directory`] — the MSI directory protocol between VCores.
+//! * [`directory`] — the MSI directory protocol between VCores;
+//! * [`L2Overlay`] and [`DirectoryOverlay`] — copy-on-write views of an
+//!   L2 and a directory that copy only the sets and entries they touch.
 //!
 //! # Example
 //!
@@ -39,8 +41,8 @@ pub mod mshr;
 pub mod partition;
 pub mod set_assoc;
 
-pub use directory::{CoherenceAction, DirState, Directory};
-pub use l2::{L2Array, L2LatencyModel, L2Outcome};
+pub use directory::{CoherenceAction, DirState, Directory, DirectoryOverlay};
+pub use l2::{L2Array, L2LatencyModel, L2Outcome, L2Overlay};
 pub use mshr::MshrFile;
 pub use partition::WayPartitionedCache;
 pub use set_assoc::{AccessOutcome, CacheGeometry, CacheStats, GeometryError, SetAssocCache};

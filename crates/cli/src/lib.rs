@@ -258,6 +258,15 @@ pub enum CliError {
     MissingValue(String),
     /// A value failed to parse.
     BadValue(String, String),
+    /// A value parsed but lies below the flag's allowed minimum.
+    OutOfRange {
+        /// The flag.
+        flag: String,
+        /// The value given.
+        value: u64,
+        /// The smallest value the flag accepts.
+        min: u64,
+    },
     /// Unknown benchmark name.
     UnknownBenchmark(String),
     /// Config file could not be read or parsed.
@@ -290,6 +299,12 @@ impl fmt::Display for CliError {
             CliError::UnknownFlag(x) => write!(f, "unknown flag `{x}`"),
             CliError::MissingValue(x) => write!(f, "flag `{x}` needs a value"),
             CliError::BadValue(x, v) => write!(f, "flag `{x}`: cannot parse `{v}`"),
+            CliError::OutOfRange { flag, value, min } => {
+                write!(
+                    f,
+                    "flag `{flag}`: `{value}` is out of range (minimum {min})"
+                )
+            }
             CliError::UnknownBenchmark(b) => {
                 write!(f, "unknown benchmark `{b}` (try `ssim list`)")
             }
@@ -432,6 +447,18 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::BadValue(flag.to_string(), v.to_string()))
 }
 
+/// Parses a count that must be at least 1.
+fn parse_positive(flag: &str, v: &str) -> Result<usize, CliError> {
+    match parse_num(flag, v)? {
+        0 => Err(CliError::OutOfRange {
+            flag: flag.to_string(),
+            value: 0,
+            min: 1,
+        }),
+        n => Ok(n),
+    }
+}
+
 /// Resolves a `--benchmark` value with [`SimWorkload::from_name`].
 fn parse_workload_name(v: &str) -> Result<SimWorkload, CliError> {
     SimWorkload::from_name(v).ok_or_else(|| CliError::UnknownBenchmark(v.to_string()))
@@ -484,13 +511,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--config" => out.config_path = Some(take_value(flag, &mut it)?.clone()),
                     "--json" => out.json = true,
                     "--trace-out" => out.trace_out = Some(take_value(flag, &mut it)?.clone()),
-                    "--threads" => {
-                        let n: usize = parse_num(flag, take_value(flag, &mut it)?)?;
-                        if n == 0 {
-                            return Err(CliError::BadValue(flag.clone(), "0".to_string()));
-                        }
-                        out.threads = n;
-                    }
+                    "--threads" => out.threads = parse_positive(flag, take_value(flag, &mut it)?)?,
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
@@ -627,10 +648,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--pidfile" => pidfile = Some(take_value(flag, &mut it)?.clone()),
                     "--workers" => cfg.workers = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--queue" => {
-                        cfg.queue_capacity = parse_num(flag, take_value(flag, &mut it)?)?;
-                        if cfg.queue_capacity == 0 {
-                            return Err(CliError::BadValue(flag.clone(), "0".to_string()));
-                        }
+                        cfg.queue_capacity = parse_positive(flag, take_value(flag, &mut it)?)?;
                     }
                     "--cache" => cfg.cache_capacity = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--cache-file" => cfg.cache_path = Some(take_value(flag, &mut it)?.clone()),
@@ -754,7 +772,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 match flag.as_str() {
                     "--plan" => out.plan_path = Some(take_value(flag, &mut it)?.clone()),
                     "--seed" => out.seed = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--workers" => out.workers = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--workers" => out.workers = parse_positive(flag, take_value(flag, &mut it)?)?,
                     "--base-port" => out.base_port = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--len" => out.len = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--schedule-out" => {
@@ -762,9 +780,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
-            }
-            if out.workers == 0 {
-                return Err(CliError::BadValue("--workers".to_string(), "0".to_string()));
             }
             Ok(Command::Chaos(out))
         }
@@ -2071,7 +2086,11 @@ mod tests {
         }
         assert_eq!(
             parse(&s(&["chaos", "--workers", "0"])),
-            Err(CliError::BadValue("--workers".to_string(), "0".to_string()))
+            Err(CliError::OutOfRange {
+                flag: "--workers".to_string(),
+                value: 0,
+                min: 1,
+            })
         );
     }
 
@@ -2146,7 +2165,17 @@ mod tests {
         }
         assert_eq!(
             parse(&s(&["run", "--benchmark", "gcc", "--threads", "0"])),
-            Err(CliError::BadValue("--threads".to_string(), "0".to_string()))
+            Err(CliError::OutOfRange {
+                flag: "--threads".to_string(),
+                value: 0,
+                min: 1,
+            })
+        );
+        assert_eq!(
+            parse(&s(&["run", "--benchmark", "gcc", "--threads", "0"]))
+                .unwrap_err()
+                .to_string(),
+            "flag `--threads`: `0` is out of range (minimum 1)"
         );
     }
 
@@ -2278,7 +2307,11 @@ mod server_tests {
         // time like `--threads 0`.
         assert_eq!(
             parse(&s(&["serve", "--queue", "0"])),
-            Err(CliError::BadValue("--queue".to_string(), "0".to_string()))
+            Err(CliError::OutOfRange {
+                flag: "--queue".to_string(),
+                value: 0,
+                min: 1,
+            })
         );
 
         // Coordinator mode: `--worker` repeats, retry/timeout knobs parse.

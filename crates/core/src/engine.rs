@@ -32,10 +32,13 @@ use crate::event::{EngineKind, StoreHashBuilder, WakeHeap};
 use crate::predictor::BranchPredictor;
 use crate::stats::{SimResult, StallBreakdown};
 use sharing_cache::mshr::MshrOutcome;
-use sharing_cache::{CacheGeometry, Directory, L2Array, MshrFile, SetAssocCache};
+use sharing_cache::{
+    CacheGeometry, Directory, DirectoryOverlay, L2Array, L2Overlay, MshrFile, SetAssocCache,
+};
 use sharing_isa::{ArchReg, DynInst, InstKind, NUM_ARCH_REGS};
 use sharing_noc::{Coord, Mesh, QueuedNetwork, Transport};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One engine-visible access to the shared memory system: everything
 /// `beyond_l1` needs to reproduce its state transition. Forked memory
@@ -53,15 +56,36 @@ pub struct MemAccess {
     pub now: u64,
 }
 
+/// The L2 bank array and the coherence directory: the state a
+/// [`MemorySystem`] shares with its forks.
+#[derive(Clone, Debug)]
+struct SharedMem {
+    l2: L2Array,
+    directory: Directory,
+}
+
+/// A fork's private view on top of the shared state: the L2 sets and
+/// directory entries it has touched, copied on first touch.
+#[derive(Clone, Debug, Default)]
+struct Overlay {
+    l2: L2Overlay,
+    directory: DirectoryOverlay,
+}
+
 /// The memory system beyond the L1s: the VCore's (or VM's shared) L2 bank
 /// set, the main-memory delay, and — when several VCores share it — the
 /// coherence directory.
+///
+/// The L2 and directory sit behind an [`Arc`] so that
+/// [`MemorySystem::fork`] can share them instead of copying them.
 #[derive(Debug)]
 pub struct MemorySystem {
-    /// The banked L2.
-    pub l2: L2Array,
-    /// The per-VM directory (only consulted when `coherent`).
-    pub directory: Directory,
+    /// The banked L2 and the per-VM directory; read-only while forks
+    /// share it.
+    base: Arc<SharedMem>,
+    /// `Some` on a fork: the state this fork has changed on top of
+    /// `base`.
+    overlay: Option<Overlay>,
     /// Whether multiple VCores share this system (enables the directory).
     pub coherent: bool,
     /// Main-memory latency in cycles.
@@ -75,7 +99,8 @@ pub struct MemorySystem {
     pub memory_accesses: u64,
     /// Memory-controller service calendar: each line fill occupies the
     /// DRAM channel for [`Self::dram_fill_cycles`], so cache-starved
-    /// configurations queue behind their own fill traffic.
+    /// configurations queue behind their own fill traffic. Small, so
+    /// every fork carries its own copy.
     dram: FuCalendar,
     /// Channel occupancy per 64-byte line fill.
     pub dram_fill_cycles: u64,
@@ -88,9 +113,16 @@ impl MemorySystem {
     /// Builds a private (single-VCore) memory system.
     #[must_use]
     pub fn private(l2_banks: usize, memory_delay: u32) -> Self {
+        Self::with_l2(L2Array::new(l2_banks), memory_delay)
+    }
+
+    fn with_l2(l2: L2Array, memory_delay: u32) -> Self {
         MemorySystem {
-            l2: L2Array::new(l2_banks),
-            directory: Directory::new(),
+            base: Arc::new(SharedMem {
+                l2,
+                directory: Directory::new(),
+            }),
+            overlay: None,
             coherent: false,
             memory_delay,
             coherence_hop: 5,
@@ -109,9 +141,9 @@ impl MemorySystem {
     /// increases as L2 banks are further away").
     #[must_use]
     pub fn private_placed(bank_distances: Vec<u32>, memory_delay: u32) -> Self {
-        let mut mem = MemorySystem::private(bank_distances.len(), memory_delay);
-        mem.l2.set_distances(bank_distances);
-        mem
+        let mut l2 = L2Array::new(bank_distances.len());
+        l2.set_distances(bank_distances);
+        Self::with_l2(l2, memory_delay)
     }
 
     /// Builds a shared (multi-VCore VM) memory system with coherence.
@@ -119,26 +151,44 @@ impl MemorySystem {
     pub fn shared(l2_banks: usize, memory_delay: u32) -> Self {
         MemorySystem {
             coherent: true,
-            ..MemorySystem::shared_base(l2_banks, memory_delay)
+            ..MemorySystem::private(l2_banks, memory_delay)
         }
     }
 
-    fn shared_base(l2_banks: usize, memory_delay: u32) -> Self {
-        MemorySystem::private(l2_banks, memory_delay)
+    /// The banked L2. On a fork this is the state at the fork point: the
+    /// fork's own accesses live in its overlay.
+    #[must_use]
+    pub fn l2(&self) -> &L2Array {
+        &self.base.l2
     }
 
-    /// Forks a speculative copy for one engine's barrier-to-barrier
+    /// The per-VM directory (only consulted when `coherent`). On a fork
+    /// this is the state at the fork point, as for [`Self::l2`].
+    #[must_use]
+    pub fn directory(&self) -> &Directory {
+        &self.base.directory
+    }
+
+    /// Forks a speculative view for one engine's barrier-to-barrier
     /// chunk: same L2/directory/DRAM state, an empty invalidation queue,
     /// and access logging armed. The fork absorbs the engine's
     /// `beyond_l1` traffic in isolation; [`MemorySystem::replay`] then
     /// applies the recorded stream to the authoritative system, so the
     /// canonical state evolution depends only on the replay order —
     /// never on how many worker threads ran the forks.
+    ///
+    /// The view is copy-on-write: it shares this system's L2 and
+    /// directory read-only and copies an L2 set or a directory entry
+    /// only when it first touches it, so a fork costs O(lines touched),
+    /// not O(L2 size). Only the small DRAM calendar is copied up front.
+    /// Every access sees the overlay first, then the shared state, so
+    /// latencies and coherence actions match a full private copy
+    /// exactly.
     #[must_use]
     pub fn fork(&self) -> MemorySystem {
         MemorySystem {
-            l2: self.l2.clone(),
-            directory: self.directory.clone(),
+            base: Arc::clone(&self.base),
+            overlay: Some(self.overlay.clone().unwrap_or_default()),
             coherent: self.coherent,
             memory_delay: self.memory_delay,
             coherence_hop: self.coherence_hop,
@@ -163,6 +213,10 @@ impl MemorySystem {
     /// as if the accesses had been issued here directly. Latencies are
     /// discarded — the requesting engine already charged itself the
     /// latencies its fork computed.
+    ///
+    /// Once the round's forks are dropped this system is the shared
+    /// state's only owner and replay updates it in place; a fork still
+    /// alive keeps its view, and replay then works on a private copy.
     pub fn replay(&mut self, log: &[MemAccess]) {
         for a in log {
             let _ = self.beyond_l1(a.vcore, a.line, a.write, a.now);
@@ -181,15 +235,35 @@ impl MemorySystem {
                 now,
             });
         }
+        let coherent = self.coherent;
+        let (action, out) = match &mut self.overlay {
+            Some(overlay) => {
+                let base = &*self.base;
+                let action = coherent.then(|| {
+                    if write {
+                        overlay.directory.write(&base.directory, line, vcore)
+                    } else {
+                        overlay.directory.read(&base.directory, line, vcore)
+                    }
+                });
+                (action, overlay.l2.access(&base.l2, line, write))
+            }
+            None => {
+                let base = Arc::make_mut(&mut self.base);
+                let action = coherent.then(|| {
+                    if write {
+                        base.directory.write(line, vcore)
+                    } else {
+                        base.directory.read(line, vcore)
+                    }
+                });
+                (action, base.l2.access(line, write))
+            }
+        };
         let mut latency = 0u32;
         let mut coh_invals = 0u64;
         let mut coh_forwards = 0u64;
-        if self.coherent {
-            let action = if write {
-                self.directory.write(line, vcore)
-            } else {
-                self.directory.read(line, vcore)
-            };
+        if let Some(action) = action {
             if let Some(_owner) = action.fetch_from {
                 latency += 2 * self.coherence_hop;
                 coh_forwards += 1;
@@ -202,7 +276,6 @@ impl MemorySystem {
                 }
             }
         }
-        let out = self.l2.access(line, write);
         latency += out.latency;
         if !out.hit {
             // Fill queues on the memory channel, then pays the access
@@ -330,25 +403,15 @@ impl FuCalendar {
     /// Claims the first `occupancy` consecutive free cycles at or after
     /// `ready`; returns the start cycle.
     fn issue_at(&mut self, ready: u64, occupancy: u64) -> u64 {
-        let c = if occupancy == 1 {
-            let c = self.first_free_at(ready);
-            self.insert(c);
-            c
-        } else {
-            let mut c = ready;
-            'search: loop {
-                for k in 0..occupancy {
-                    if self.contains(c + k) {
-                        c = c + k + 1;
-                        continue 'search;
-                    }
-                }
-                for k in 0..occupancy {
-                    self.insert(c + k);
-                }
-                break c;
-            }
-        };
+        // Skip occupied runs a word at a time; a busy cycle inside a
+        // candidate run rules out every start up to and including it.
+        let mut c = self.first_free_at(ready);
+        while let Some(k) = (1..occupancy).find(|&k| self.contains(c + k)) {
+            c = self.first_free_at(c + k + 1);
+        }
+        for k in 0..occupancy {
+            self.insert(c + k);
+        }
         // Bound memory: drop cycles far behind the issue frontier.
         if self.count > 8192 {
             self.prune_below(c.saturating_sub(4096));
@@ -1362,7 +1425,7 @@ impl VCoreEngine {
     /// Copies L2/memory counters from a memory system into a result (the
     /// caller decides attribution for shared systems).
     pub fn absorb_mem_stats(result: &mut SimResult, mem: &MemorySystem) {
-        result.mem.l2 = mem.l2.stats();
+        result.mem.l2 = mem.l2().stats();
         result.mem.memory_accesses = mem.memory_accesses;
     }
 
@@ -1513,6 +1576,103 @@ mod tests {
         assert_eq!(invals, 1, "owner invalidated");
         assert_eq!(forwards, 1, "dirty line forwarded");
         assert_eq!(m.pending_invals, vec![(0, 7)]);
+    }
+
+    /// A seeded stream of beyond-L1 accesses from four VCores: a quarter
+    /// go to 256 lines every VCore shares, the rest to each VCore's own
+    /// 16k lines (twice the 128-bank L2's capacity, so sets evict).
+    fn access_stream(seed: u64, n: usize, start: u64) -> Vec<MemAccess> {
+        let mut rng = sharing_trace::Rng64::seed_from_u64(seed);
+        (0..n as u64)
+            .map(|i| {
+                let vcore = (rng.next_u64() % 4) as usize;
+                let line = if rng.next_u64().is_multiple_of(4) {
+                    rng.next_u64() % 256
+                } else {
+                    ((vcore as u64 + 1) << 20) | (rng.next_u64() % 16_384)
+                };
+                MemAccess {
+                    vcore,
+                    line,
+                    write: rng.next_u64().is_multiple_of(3),
+                    now: start + 3 * i,
+                }
+            })
+            .collect()
+    }
+
+    /// Just before the warm-up's last request cycle: streams starting
+    /// here queue behind the warm-up's DRAM claims.
+    const WARM_END: u64 = 3 * 40_000 - 1_000;
+
+    /// A 128-bank shared memory system after one seeded warm-up log,
+    /// its invalidations delivered as at a barrier.
+    fn warmed() -> MemorySystem {
+        let mut m = MemorySystem::shared(128, 100);
+        m.replay(&access_stream(1, 40_000, 0));
+        m.pending_invals.clear();
+        m
+    }
+
+    fn issue(m: &mut MemorySystem, a: &MemAccess) -> (u32, u64, u64) {
+        m.beyond_l1(a.vcore, a.line, a.write, a.now)
+    }
+
+    #[test]
+    fn fork_matches_direct_access_and_leaves_the_base_untouched() {
+        let mut direct = warmed();
+        let base = warmed();
+        let mut fork = base.fork();
+        let stream = access_stream(2, 5_000, WARM_END);
+        for (i, a) in stream.iter().enumerate() {
+            assert_eq!(issue(&mut fork, a), issue(&mut direct, a), "access {i}");
+        }
+        assert_eq!(fork.take_log(), stream);
+        assert_eq!(fork.pending_invals, direct.pending_invals);
+        assert_eq!(
+            fork.memory_accesses,
+            direct.memory_accesses - base.memory_accesses
+        );
+        drop(fork);
+
+        // The base's next accesses match a third, freshly warmed system.
+        let (mut base, mut fresh) = (base, warmed());
+        for (i, a) in access_stream(3, 5_000, WARM_END).iter().enumerate() {
+            assert_eq!(issue(&mut base, a), issue(&mut fresh, a), "access {i}");
+        }
+        assert_eq!(base.l2().stats(), fresh.l2().stats());
+        assert_eq!(base.directory().stats(), fresh.directory().stats());
+        assert_eq!(base.pending_invals, fresh.pending_invals);
+    }
+
+    #[test]
+    fn replay_with_a_live_fork_leaves_the_fork_its_view() {
+        let mut auth = warmed();
+        let mut fork = auth.fork();
+        // A private copy of the fork-point state stands in for the fork.
+        let mut reference = warmed();
+        let (before, round, after) = (
+            access_stream(4, 2_000, WARM_END),
+            access_stream(5, 2_000, WARM_END),
+            access_stream(6, 2_000, WARM_END + 6_000),
+        );
+        for a in &before {
+            assert_eq!(issue(&mut fork, a), issue(&mut reference, a));
+        }
+        // The fork still shares the base, so replay must not write
+        // through it.
+        auth.replay(&round);
+        for a in &after {
+            assert_eq!(issue(&mut fork, a), issue(&mut reference, a));
+        }
+        // And the replayed system matches one that replayed with no fork.
+        let mut twin = warmed();
+        twin.replay(&round);
+        drop(fork);
+        for a in &after {
+            assert_eq!(issue(&mut auth, a), issue(&mut twin, a));
+        }
+        assert_eq!(auth.l2().stats(), twin.l2().stats());
     }
 
     fn engine(slices: usize) -> VCoreEngine {

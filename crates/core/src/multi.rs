@@ -8,12 +8,15 @@
 //! barriers (DESIGN.md §14):
 //!
 //! 1. **compute** — every engine runs its next chunk against a *fork*
-//!    of the shared memory system ([`MemorySystem::fork`]), recording
-//!    the beyond-L1 accesses it makes;
-//! 2. **merge** — at the barrier, the recorded access streams are
-//!    replayed into the authoritative memory system in VCore-index
-//!    order, and the inter-VCore L1 invalidations that replay produces
-//!    are applied in queue order.
+//!    of the shared memory system ([`MemorySystem::fork`]): a
+//!    copy-on-write overlay that reads the barrier state in place and
+//!    copies only the L2 sets and directory entries the engine touches,
+//!    recording the beyond-L1 accesses it makes;
+//! 2. **merge** — at the barrier, once every fork is dropped, the
+//!    recorded access streams are replayed into the authoritative
+//!    memory system in VCore-index order (in place: nothing shares the
+//!    state any more), and the inter-VCore L1 invalidations that replay
+//!    produces are applied in queue order.
 //!
 //! Because a fork only ever sees "state at the last barrier plus this
 //! engine's own accesses", and the merge order is fixed, the result is

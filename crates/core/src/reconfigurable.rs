@@ -148,8 +148,8 @@ impl ReconfigurableVCore {
         } else {
             // Bank set changes: dirty state goes to memory and the new set
             // starts cold (§3.8: "all dirty state in L2 Cache Banks be
-            // flushed to main memory before reconfiguration").
-            self.mem.l2.flush_all();
+            // flushed to main memory before reconfiguration"). `cost`
+            // charges the flush; the old banks' contents are dropped.
             self.mem = MemorySystem::private(new_shape.l2_banks, new_cfg.mem.memory_delay);
             self.mem_baseline = (0, 0, 0);
         }
@@ -162,7 +162,7 @@ impl ReconfigurableVCore {
 
     /// Attributes the memory traffic since the last baseline to `result`.
     fn absorb_mem_delta(&mut self, result: &mut SimResult) {
-        let l2 = self.mem.l2.stats();
+        let l2 = self.mem.l2().stats();
         let (base_acc, base_hit, base_mem) = self.mem_baseline;
         result.mem.l2.accesses = l2.accesses - base_acc;
         result.mem.l2.hits = l2.hits - base_hit;

@@ -56,10 +56,12 @@ echo "== profile smoke: cycle attribution conserves and is byte-identical =="
 diff "$TRACE_TMP/prof_a.txt" "$TRACE_TMP/prof_b.txt"
 grep -q 'conserved true' "$TRACE_TMP/prof_a.txt"
 
-echo "== VM threads smoke: 4 worker threads byte-identical to the default =="
+echo "== VM threads smoke: worker threads byte-identical to the default =="
 # The VM worker count must be unobservable (DESIGN.md §14): a
 # single-trace run and a 4-thread PARSEC VM, both at --threads 4, must
-# match the default run's bytes exactly.
+# match the default run's bytes exactly, and so must a 128-bank ferret
+# VM at --threads 2, whose copy-on-write forks share one large L2 base
+# across both workers.
 "$SSIM" run --benchmark gcc --len 2000 --seed 9 --json > "$TRACE_TMP/run_default.json"
 "$SSIM" run --benchmark gcc --len 2000 --seed 9 --json \
   --threads 4 > "$TRACE_TMP/run_threads.json"
@@ -68,6 +70,10 @@ diff "$TRACE_TMP/run_default.json" "$TRACE_TMP/run_threads.json"
 "$SSIM" run --benchmark dedup --len 2000 --seed 9 --json \
   --threads 4 > "$TRACE_TMP/vm_threads.json"
 diff "$TRACE_TMP/vm_default.json" "$TRACE_TMP/vm_threads.json"
+"$SSIM" run --benchmark ferret --banks 128 --len 2000 --seed 9 --json > "$TRACE_TMP/vm128_default.json"
+"$SSIM" run --benchmark ferret --banks 128 --len 2000 --seed 9 --json \
+  --threads 2 > "$TRACE_TMP/vm128_threads.json"
+diff "$TRACE_TMP/vm128_default.json" "$TRACE_TMP/vm128_threads.json"
 
 echo "== perf guard: warm single-worker sweep must hold 2.5M cycles/sec =="
 # A short-trace suite sweep (all 15 benchmarks x 72 shapes). The seed
